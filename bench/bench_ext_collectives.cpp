@@ -12,13 +12,13 @@
 // is the closed-loop completion time in cycles (run_app: first injection
 // to last delivery, drained), lower is better.
 //
-// Like every sweep bench: POLARSTAR_THREADS / POLARSTAR_SHARDS only change
-// the parallelism shape, POLARSTAR_JSON captures every point (collective
-// cases carry the schema-7 "collective" block plus the "workload" block),
-// POLARSTAR_TRACE records the collective phase marks -- the printed tables
-// are byte-identical throughout. The trailing self-check re-runs one EDST
-// allreduce at shards 1/2/4 and under SimParams::reference_impl and diffs
-// the results bit for bit.
+// Like every sweep bench: POLARSTAR_THREADS only changes the parallelism
+// shape, POLARSTAR_JSON captures every point (collective cases carry the
+// schema-7 "collective" block plus the "workload" block), POLARSTAR_TRACE
+// records the collective phase marks -- the printed tables are
+// byte-identical throughout. The trailing self-check re-runs one EDST
+// allreduce under SimParams::reference_impl and diffs the results bit for
+// bit.
 #include <algorithm>
 #include <cstdio>
 #include <iterator>
@@ -206,35 +206,30 @@ std::vector<std::vector<std::uint64_t>> print_collective_table(
   return cycles;
 }
 
-/// The bench-local determinism self-check: one EDST allreduce re-run at
-/// shards 1/2/4 and under reference_impl must give bit-identical results
-/// (the `ctest -L shard` / `-L perf` contract, asserted here on the bench's
-/// own configuration).
+/// The bench-local determinism self-check: one EDST allreduce re-run under
+/// reference_impl must give bit-identical results (the `ctest -L perf`
+/// contract, asserted here on the bench's own configuration).
 void print_identity_check(const CollTopo& ct, const bench::SweepSettings& s) {
   collective::CollectiveSpec spec;
   spec.op = collective::Op::kAllreduce;
   spec.algorithm = collective::Algorithm::kEdst;
-  const auto run = [&](std::uint32_t shards, bool reference) {
+  const auto run = [&](bool reference) {
     sim::SimParams prm = bench::sweep_params(ct.nt, sim::PathMode::kMinimal, s);
-    prm.num_shards = shards;
     prm.reference_impl = reference;
     collective::CollectiveEngine src(ct.nt.topology(), spec, /*chunks=*/8,
                                      ct.trees);
     sim::Simulation sim(*ct.nt.net, prm, src);
     return sim.run_app(4'000'000);
   };
-  const auto base = run(1, false);
-  bool identical = true;
-  for (const auto& [shards, reference] :
-       {std::pair<std::uint32_t, bool>{2, false}, {4, false}, {1, true}}) {
-    const auto res = run(shards, reference);
-    identical = identical && res.cycles == base.cycles &&
-                res.packets_delivered == base.packets_delivered &&
-                res.avg_packet_latency == base.avg_packet_latency &&
-                res.avg_hops == base.avg_hops && res.stable == base.stable &&
-                res.source.collective_json == base.source.collective_json;
-  }
-  std::printf("bit-identity (%s edst allreduce, shards 1/2/4 + reference): "
+  const auto base = run(false);
+  const auto res = run(true);
+  const bool identical =
+      res.cycles == base.cycles &&
+      res.packets_delivered == base.packets_delivered &&
+      res.avg_packet_latency == base.avg_packet_latency &&
+      res.avg_hops == base.avg_hops && res.stable == base.stable &&
+      res.source.collective_json == base.source.collective_json;
+  std::printf("bit-identity (%s edst allreduce vs reference): "
               "%s (completion %llu)\n",
               ct.nt.name.c_str(), identical ? "identical" : "MISMATCH",
               static_cast<unsigned long long>(base.cycles));

@@ -3,14 +3,12 @@
 // partitioning) on the Table 3 router graphs plus a >1M-edge synthetic
 // circulant stream no offline partitioner would want to hold; a p=2 re-run
 // of the Fig 12/13 bisection story per algorithm against the offline
-// multilevel bisector; router->shard plans from every algorithm compared
-// with the contiguous and recursive-bisection plans on PS-IQ; and a
-// multi-job placement run (partition = tenant) feeding
-// workload::MultiTenantWorkload.
+// multilevel bisector; and a multi-job placement run (partition = tenant)
+// feeding workload::MultiTenantWorkload.
 //
 // Everything here is deterministic (seeded streams, no wall-clock), so the
 // whole stdout is golden-pinned and byte-identical at any
-// POLARSTAR_THREADS x POLARSTAR_SHARDS.
+// POLARSTAR_THREADS.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -18,7 +16,6 @@
 
 #include "bench_common.h"
 #include "partition/partitioner.h"
-#include "partition/shard_assign.h"
 #include "partition/stream.h"
 #include "partition/streaming.h"
 #include "workload/generators.h"
@@ -101,34 +98,6 @@ void print_bisection(const std::vector<bench::NamedTopo>& suite) {
   std::printf("\n");
 }
 
-void print_shard_plans(const bench::NamedTopo& ps) {
-  std::printf("router -> shard plans on %s (cross-shard link fraction, "
-              "work balance)\n",
-              ps.name.c_str());
-  std::printf("%-10s %7s", "plan", "shards");
-  std::printf(" %10s %9s\n", "cross", "balance");
-  for (std::uint32_t shards : {2u, 4u, 8u}) {
-    const auto contiguous = sim::ShardPlan::contiguous(*ps.net, shards);
-    std::printf("%-10s %7u %9.1f%% %9.2f\n", "contiguous", shards,
-                100.0 * contiguous.cross_shard_link_fraction(*ps.net),
-                contiguous.balance(*ps.net));
-    const auto bisect =
-        partition::shard_plan_from_partition(*ps.net, shards);
-    std::printf("%-10s %7u %9.1f%% %9.2f\n", "bisect", shards,
-                100.0 * bisect.cross_shard_link_fraction(*ps.net),
-                bisect.balance(*ps.net));
-    for (const auto algo : partition::kAllStreamAlgos) {
-      const auto plan =
-          partition::shard_plan_from_streaming(*ps.net, shards, algo);
-      std::printf("%-10s %7u %9.1f%% %9.2f\n", partition::to_string(algo),
-                  shards, 100.0 * plan.cross_shard_link_fraction(*ps.net),
-                  plan.balance(*ps.net));
-    }
-    std::fflush(stdout);
-  }
-  std::printf("\n");
-}
-
 // Multi-job placement: the same four-tenant mix placed contiguously by
 // endpoint id vs placed on an LDG 4-part router partition (each job's
 // endpoints clustered on a low-cut region). One latency row per placement.
@@ -189,7 +158,6 @@ int main() {
   for (const auto& nt : suite) {
     if (nt.name == "PS-IQ") ps = &nt;
   }
-  print_shard_plans(*ps);
   bench::SweepSettings s;
   print_placement(*ps, s);
   return 0;

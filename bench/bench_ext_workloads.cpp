@@ -5,10 +5,10 @@
 // live link/router faults) and a record -> replay identity check through
 // the trace format.
 //
-// Like every sweep bench: POLARSTAR_THREADS / POLARSTAR_SHARDS only change
-// the parallelism shape, POLARSTAR_JSON captures every point (workload
-// cases carry the schema-7 "workload" block), POLARSTAR_TRACE additionally
-// records scenario timeline marks -- the printed tables are byte-identical
+// Like every sweep bench: POLARSTAR_THREADS only changes the parallelism
+// shape, POLARSTAR_JSON captures every point (workload cases carry the
+// schema-7 "workload" block), POLARSTAR_TRACE additionally records
+// scenario timeline marks -- the printed tables are byte-identical
 // throughout. POLARSTAR_METRICS_INTERVAL=K adds a time-resolved
 // hotspot-drain table (per-interval inject/eject/latency/backlog rows) and
 // per-point "timeseries" JSON blocks + Perfetto counter tracks.

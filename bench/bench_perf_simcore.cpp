@@ -1,13 +1,12 @@
 // Simulator-core throughput harness: the repo's perf trajectory.
 //
 // Drives fixed-seed, fault-free, collector-free (and one UGAL + one
-// faulted) workloads through serial sim::Simulation::run() calls and
-// reports wall-clock throughput as Mcyc/s (simulated cycles per second)
-// and flit-hops/s (link traversals of delivered flits per second). The
-// simulated results themselves are deterministic -- the "cycles",
-// "delivered" and "flit_hops" columns must never change across commits
-// unless the simulator's outputs intentionally change (the golden benches
-// guard that); only the wall-clock columns move.
+// faulted) workloads through sim::Simulation::run() calls and reports
+// wall-clock throughput as flit-hops/s (link traversals of delivered flits
+// per second). The simulated results themselves are deterministic -- the
+// "cycles", "delivered" and "flit_hops" columns must never change across
+// commits unless the simulator's outputs intentionally change (the golden
+// benches guard that); only the wall-clock columns move.
 //
 // Every invocation rewrites BENCH_simcore.json (override the path with
 // POLARSTAR_PERF_JSON; empty disables) so CI can upload it and
@@ -36,7 +35,6 @@ struct Workload {
   double load = 0.3;
   sim::SimParams params;
   std::shared_ptr<const fault::FaultSchedule> faults;
-  std::uint32_t num_shards = 1;  // worker shards inside the one Simulation
 };
 
 struct Measurement {
@@ -50,7 +48,6 @@ Measurement measure(const Workload& w, unsigned reps) {
   Measurement m;
   for (unsigned rep = 0; rep < reps; ++rep) {
     sim::SimParams prm = w.params;
-    prm.num_shards = w.num_shards;
     if (w.faults) prm.faults = w.faults.get();
     auto src = sim::make_pattern_source(w.net->topology(), w.pattern, w.load,
                                         prm.packet_flits, prm.seed);
@@ -131,21 +128,6 @@ int main() {
       sim::PathMode::kMinimal, 0.30);
   add("ps-iq-uniform-ugal", ps_iq, sim::Pattern::kUniform, sim::PathMode::kUgal,
       0.30);
-  // Sharded twins of the UGAL workload: same simulation executed across 2
-  // and 4 barrier-synchronous worker shards. Their deterministic counters
-  // must equal the serial row bit for bit (verified below); the wall-clock
-  // columns measure the sharded engine's scaling. On a single-core host the
-  // shard rows run *slower* than serial (threads time-slice one core and
-  // pay the barriers); the >= 2x-at-4-shards expectation only materializes
-  // with >= 4 hardware cores, which is what tools/check_perf's
-  // core-count-aware speedup gate encodes.
-  const std::size_t ugal_base = workloads.size() - 1;
-  for (std::uint32_t shards : {2u, 4u}) {
-    Workload w = workloads[ugal_base];
-    w.name = "ps-iq-uniform-ugal-s" + std::to_string(shards);
-    w.num_shards = shards;
-    workloads.push_back(std::move(w));
-  }
   add("ps-iq-adversarial-min", ps_iq, sim::Pattern::kAdversarial,
       sim::PathMode::kMinimal, 0.20);
   add("ps-pal-uniform-min", ps_pal, sim::Pattern::kUniform,
@@ -170,43 +152,21 @@ int main() {
     workloads.push_back(std::move(w));
   }
 
-  std::printf("Simulator-core throughput (reduced-scale, serial, %u reps)\n",
-              reps);
-  std::printf("%-26s %10s %10s %12s %10s %12s\n", "workload", "cycles",
-              "delivered", "flit-hops", "Mcyc/s", "Mflit-hops/s");
+  std::printf("Simulator-core throughput (reduced-scale, %u reps)\n", reps);
+  std::printf("%-26s %10s %10s %12s %12s\n", "workload", "cycles",
+              "delivered", "flit-hops", "Mflit-hops/s");
 
   std::vector<Measurement> results;
   results.reserve(workloads.size());
   for (const auto& w : workloads) {
     const Measurement m = measure(w, reps);
     results.push_back(m);
-    std::printf("%-26s %10llu %10llu %12llu %10.3f %12.2f\n", w.name.c_str(),
+    std::printf("%-26s %10llu %10llu %12llu %12.2f\n", w.name.c_str(),
                 static_cast<unsigned long long>(m.cycles),
                 static_cast<unsigned long long>(m.delivered),
                 static_cast<unsigned long long>(m.flit_hops),
-                static_cast<double>(m.cycles) / m.best_seconds / 1e6,
                 static_cast<double>(m.flit_hops) / m.best_seconds / 1e6);
     std::fflush(stdout);
-  }
-
-  // Hard gate: a sharded twin must reproduce its serial row's counters
-  // exactly -- sharding is a parallelism knob, never a semantics knob.
-  for (std::size_t i = 0; i < workloads.size(); ++i) {
-    if (workloads[i].num_shards == 1) continue;
-    const std::string base =
-        workloads[i].name.substr(0, workloads[i].name.rfind("-s"));
-    for (std::size_t j = 0; j < workloads.size(); ++j) {
-      if (workloads[j].name != base) continue;
-      if (results[i].cycles != results[j].cycles ||
-          results[i].delivered != results[j].delivered ||
-          results[i].flit_hops != results[j].flit_hops) {
-        std::fprintf(stderr,
-                     "bench_perf_simcore: sharded workload '%s' diverged "
-                     "from '%s'\n",
-                     workloads[i].name.c_str(), base.c_str());
-        return 1;
-      }
-    }
   }
 
   const std::string path = json_path();
@@ -223,15 +183,13 @@ int main() {
       const auto& m = results[i];
       std::fprintf(
           f,
-          "  {\"name\": \"%s\", \"shards\": %u, \"cycles\": %llu, "
-          "\"delivered\": %llu, "
+          "  {\"name\": \"%s\", \"cycles\": %llu, \"delivered\": %llu, "
           "\"flit_hops\": %llu, \"wall_seconds\": %.6f, "
-          "\"mcyc_per_s\": %.3f, \"mflit_hops_per_s\": %.3f}%s\n",
-          workloads[i].name.c_str(), workloads[i].num_shards,
+          "\"mflit_hops_per_s\": %.3f}%s\n",
+          workloads[i].name.c_str(),
           static_cast<unsigned long long>(m.cycles),
           static_cast<unsigned long long>(m.delivered),
           static_cast<unsigned long long>(m.flit_hops), m.best_seconds,
-          static_cast<double>(m.cycles) / m.best_seconds / 1e6,
           static_cast<double>(m.flit_hops) / m.best_seconds / 1e6,
           i + 1 < workloads.size() ? "," : "");
     }

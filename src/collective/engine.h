@@ -10,10 +10,9 @@
 // the next replication / combining step from on_delivered. This
 // store-and-forward model keeps the engine entirely outside the router
 // datapath: no flit replication in switches, no VC changes, and therefore
-// the existing bit-identity contracts (threads x shards x reference_impl)
-// hold for free -- tick() runs in the serial injection phase and
-// on_delivered() in the serial barrier replay, in canonical router order,
-// in both engines. The price is store-and-forward latency per tree level,
+// the existing bit-identity contracts (threads x reference_impl) hold for
+// free -- tick() runs in the injection phase and on_delivered() in the
+// end-of-cycle finalizes, in canonical router order, in both engines. The price is store-and-forward latency per tree level,
 // which is the honest cost of an endpoint-level collective; in-switch
 // wormhole replication is future work (documented in docs/THEORY.md).
 //

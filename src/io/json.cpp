@@ -62,9 +62,15 @@ class Parser {
     const char c = peek();
     switch (c) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        ++depth_;
+        Value v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"':
         return Value(parse_string());
       case 't':
@@ -235,6 +241,7 @@ class Parser {
   }
 
   std::string_view text_;
+  std::size_t depth_ = 0;  // open arrays/objects around pos_
   std::size_t pos_ = 0;
 };
 

@@ -6,6 +6,7 @@
 // std::runtime_error with an offset.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -78,6 +79,11 @@ class Value {
   std::shared_ptr<Array> arr_;
   std::shared_ptr<Object> obj_;
 };
+
+/// Deepest array/object nesting parse() accepts (the runner's documents
+/// nest 5 deep). Deeper input throws like any other parse error instead
+/// of exhausting the stack.
+inline constexpr std::size_t kMaxDepth = 256;
 
 /// Parses one JSON document; trailing non-whitespace is an error.
 Value parse(std::string_view text);

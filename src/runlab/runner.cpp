@@ -1,6 +1,5 @@
 #include "runlab/runner.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
@@ -98,13 +97,9 @@ class ProgressMeter {
 // flight-recorder filter (the runner may have applied its default).
 void run_chain(const SweepCase& c, const telemetry::PacketFilter& trace,
                std::uint32_t metrics_interval, bool profile,
-               unsigned num_shards, ProgressMeter& meter, CaseResult& out) {
+               ProgressMeter& meter, CaseResult& out) {
   const auto chain_start = std::chrono::steady_clock::now();
-  // The runner owns shard resolution: every point gets the budgeted shard
-  // count (the case's explicit request, clamped), so a Simulation under
-  // the runner never reads POLARSTAR_SHARDS on its own unclamped.
   sim::SimParams params = c.params;
-  params.num_shards = num_shards;
   params.profile = params.profile || profile;
   out.points.resize(c.loads.size());
   bool saturated = false;
@@ -296,19 +291,8 @@ sim::SimResult run_point(const sim::Network& net, sim::Pattern pattern,
                     .trace = {}});
 }
 
-ExperimentRunner::WorkerBudget ExperimentRunner::plan_budget(
-    unsigned num_threads) {
-  WorkerBudget b;
-  b.total = num_threads != 0 ? num_threads : configured_threads();
-  if (b.total == 0) b.total = 1;
-  b.shards = std::min(sim::resolve_num_shards(0), b.total);
-  if (b.shards == 0) b.shards = 1;
-  b.chains = std::max(1u, b.total / b.shards);
-  return b;
-}
-
 ExperimentRunner::ExperimentRunner(unsigned num_threads)
-    : budget_(plan_budget(num_threads)), pool_(budget_.chains) {
+    : pool_(num_threads) {
   if (const char* v = std::getenv("POLARSTAR_JSON")) json_path_ = v;
   if (const char* v = std::getenv("POLARSTAR_TRACE")) trace_path_ = v;
   if (const char* v = std::getenv("POLARSTAR_PROGRESS")) {
@@ -364,18 +348,11 @@ std::vector<CaseResult> ExperimentRunner::run(
   std::vector<CaseResult> results(cases.size());
   std::vector<std::exception_ptr> errors(cases.size());
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    // A case's explicit shard request wins but stays inside the budget;
-    // unset (0) means the runner's POLARSTAR_SHARDS-derived default.
-    const unsigned shards =
-        cases[i].params.num_shards != 0
-            ? std::min(cases[i].params.num_shards, budget_.total)
-            : budget_.shards;
     const bool profile = profile_;
-    pool_.submit([&cases, &trace, &metrics, &meter, &results, &errors, shards,
+    pool_.submit([&cases, &trace, &metrics, &meter, &results, &errors,
                   profile, i] {
       try {
-        run_chain(cases[i], trace[i], metrics[i], profile, shards, meter,
-                  results[i]);
+        run_chain(cases[i], trace[i], metrics[i], profile, meter, results[i]);
       } catch (...) {
         errors[i] = std::current_exception();
       }
@@ -400,14 +377,7 @@ std::vector<CaseResult> ExperimentRunner::run(
         profile_agg_.route += pr.route_seconds;
         profile_agg_.barrier += pr.barrier_seconds;
         profile_agg_.telemetry += pr.telemetry_seconds;
-        profile_agg_.driver_wait += pr.driver_wait_seconds;
         profile_agg_.point_wall += p.wall_seconds;
-        if (profile_agg_.shard_task.size() < pr.shard_task_seconds.size()) {
-          profile_agg_.shard_task.resize(pr.shard_task_seconds.size(), 0.0);
-        }
-        for (std::size_t s = 0; s < pr.shard_task_seconds.size(); ++s) {
-          profile_agg_.shard_task[s] += pr.shard_task_seconds[s];
-        }
       }
     }
     report_profile(label);
@@ -527,26 +497,15 @@ void ExperimentRunner::report_profile(const std::string& label) const {
     out << "\n";
   };
   phase("fault/retransmit", a.fault);
-  phase("mailbox delivery", a.deliver);
+  phase("link delivery", a.deliver);
   phase("injection", a.inject);
   phase("switch allocation", a.route);
-  phase("barrier/merge", a.barrier);
+  phase("end of cycle", a.barrier);
   phase("telemetry", a.telemetry);
-  out << "[profile]   driver barrier-wait: " << std::fixed
-      << std::setprecision(3) << a.driver_wait << "s\n";
-  if (!a.shard_task.empty()) {
-    out << "[profile]   shard task seconds:";
-    for (double s : a.shard_task) {
-      out << " " << std::fixed << std::setprecision(3) << s;
-    }
-    out << "\n";
-  }
-  const double denom =
-      a.run_wall * static_cast<double>(budget_.chains);
+  const double denom = a.run_wall * static_cast<double>(num_threads());
   out << "[profile]   walls: point " << std::fixed << std::setprecision(3)
       << a.point_wall << "s, chain " << a.chain_wall << "s, run "
-      << a.run_wall << "s; workers " << budget_.total << " ("
-      << budget_.chains << " chains x " << budget_.shards << " shards)";
+      << a.run_wall << "s; workers " << num_threads();
   if (denom > 0.0) {
     out << ", utilization " << std::setprecision(1)
         << 100.0 * a.chain_wall / denom << "%";
@@ -633,20 +592,13 @@ void ExperimentRunner::flush_json() {
        << a.fault << ", \"deliver\": " << a.deliver
        << ", \"inject\": " << a.inject << ", \"route\": " << a.route
        << ", \"barrier\": " << a.barrier << ", \"telemetry\": " << a.telemetry
-       << "},\n  \"driver_wait_seconds\": " << a.driver_wait
-       << ", \"shard_task_seconds\": [";
-    for (std::size_t s = 0; s < a.shard_task.size(); ++s) {
-      os << (s == 0 ? "" : ", ") << a.shard_task[s];
-    }
-    os << "],\n  \"point_wall_seconds\": " << a.point_wall
+       << "},\n  \"point_wall_seconds\": " << a.point_wall
        << ", \"chain_wall_seconds\": " << a.chain_wall
        << ", \"run_wall_seconds\": " << a.run_wall
-       << ",\n  \"workers\": " << budget_.total
-       << ", \"chains\": " << budget_.chains
-       << ", \"shards\": " << budget_.shards << ", \"worker_utilization\": "
+       << ",\n  \"workers\": " << num_threads() << ", \"worker_utilization\": "
        << (a.run_wall > 0.0
                ? a.chain_wall /
-                     (a.run_wall * static_cast<double>(budget_.chains))
+                     (a.run_wall * static_cast<double>(num_threads()))
                : 0.0)
        << "}";
   }

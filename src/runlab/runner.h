@@ -144,20 +144,8 @@ class ExperimentRunner {
   /// when a trace path is configured (1 in 64 packets by id).
   static constexpr std::uint32_t kDefaultTracePeriod = 64;
 
-  /// How one runner splits its thread budget between concurrent load
-  /// chains and shards within each chain's Simulation. The budget is
-  /// shared: chains x shards never exceeds `total`, so
-  /// POLARSTAR_THREADS=16 with POLARSTAR_SHARDS=4 runs 4 chains of
-  /// 4-shard simulations instead of oversubscribing 16x4 threads.
-  struct WorkerBudget {
-    unsigned total = 1;   ///< thread budget (ctor arg or POLARSTAR_THREADS)
-    unsigned shards = 1;  ///< shards per point (POLARSTAR_SHARDS, clamped)
-    unsigned chains = 1;  ///< concurrent chains = max(1, total / shards)
-  };
-
-  /// 0 = POLARSTAR_THREADS, falling back to hardware_concurrency. The
-  /// budget is split per WorkerBudget; sharding never changes results
-  /// (bit-identical at any shard count), only the parallelism shape.
+  /// 0 = POLARSTAR_THREADS, falling back to hardware_concurrency: the
+  /// number of load chains run concurrently.
   explicit ExperimentRunner(unsigned num_threads = 0);
   /// Flushes pending JSON and traces (see set_json_path / set_trace_path)
   /// before tearing the pool down.
@@ -173,7 +161,6 @@ class ExperimentRunner {
                               const std::vector<SweepCase>& cases);
 
   unsigned num_threads() const { return pool_.size(); }
-  const WorkerBudget& worker_budget() const { return budget_; }
 
   /// Where results are written as JSON. Initialised from POLARSTAR_JSON at
   /// construction; empty disables emission. Override before run() in tests.
@@ -200,7 +187,7 @@ class ExperimentRunner {
 
   /// Engine self-profiler: when on (POLARSTAR_PROFILE=1, or this setter),
   /// every point runs with SimParams::profile and the runner aggregates the
-  /// per-phase / per-shard attribution plus its own worker-utilization
+  /// per-phase attribution plus its own worker-utilization
   /// accounting into a profile report -- written to the profile stream
   /// (default stderr) after each run() and, through POLARSTAR_JSON, as the
   /// top-level "profile" block. stdout is never touched (the
@@ -243,17 +230,14 @@ class ExperimentRunner {
     std::size_t points = 0;
     std::uint64_t cycles = 0;
     double fault = 0.0, deliver = 0.0, inject = 0.0, route = 0.0;
-    double barrier = 0.0, telemetry = 0.0, driver_wait = 0.0;
-    std::vector<double> shard_task;  // summed by shard index
+    double barrier = 0.0, telemetry = 0.0;
     double point_wall = 0.0;         // sum of point wall_seconds
     double chain_wall = 0.0;         // sum of chain wall_seconds
     double run_wall = 0.0;           // sum of run() wall_seconds
   };
 
-  static WorkerBudget plan_budget(unsigned num_threads);
   void report_profile(const std::string& label) const;
 
-  WorkerBudget budget_;  // before pool_: its chains value sizes the pool
   ThreadPool pool_;
   std::string json_path_, trace_path_;
   std::ostream* progress_ = nullptr;

@@ -1,13 +1,11 @@
 #include "sim/simulation.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cassert>
 #include <chrono>
 #include <span>
 #include <stdexcept>
-#include <thread>
 
 #include "fault/fault_routing.h"
 #include "fault/schedule.h"
@@ -26,85 +24,7 @@ const char* to_string(PathMode mode, MinSelect sel) {
   return sel == MinSelect::kAdaptive ? "min-adaptive" : "min";
 }
 
-// Persistent worker team for the sharded cycle engine: num_shards - 1
-// threads plus the calling thread (which always executes shard 0, keeping
-// the serial phases and shard 0 on one core). Dispatch is a seqlock-style
-// epoch counter: run() publishes the task, bumps the epoch and waits for
-// the completion count; workers block in std::atomic::wait between phases,
-// so an idle team costs nothing and a one-core host is never spun against.
-// The release/acquire pairs on epoch_ and pending_ order every shard's
-// phase writes before the next serial phase reads them (TSan-checked by
-// the `shard` suite under -DPOLARSTAR_SANITIZE=thread).
-class Simulation::ShardTeam {
- public:
-  ShardTeam(Simulation* sim, std::uint32_t shards) : sim_(sim) {
-    threads_.reserve(shards - 1);
-    for (std::uint32_t s = 1; s < shards; ++s) {
-      threads_.emplace_back([this, s] { worker(s); });
-    }
-  }
-
-  ~ShardTeam() {
-    exit_.store(true, std::memory_order_relaxed);
-    epoch_.fetch_add(1, std::memory_order_release);
-    epoch_.notify_all();
-    for (auto& t : threads_) t.join();
-  }
-
-  void run(ShardTask task) {
-    task_ = task;
-    pending_.store(static_cast<std::uint32_t>(threads_.size()),
-                   std::memory_order_relaxed);
-    epoch_.fetch_add(1, std::memory_order_release);
-    epoch_.notify_all();
-    (sim_->*task)(0);
-    // Self-profiler: time the calling thread spends blocked on the other
-    // shards (wall clock only; never observable in simulation output).
-    std::chrono::steady_clock::time_point t0{};
-    if (sim_->profile_) t0 = std::chrono::steady_clock::now();
-    for (std::uint32_t p = pending_.load(std::memory_order_acquire); p != 0;
-         p = pending_.load(std::memory_order_acquire)) {
-      pending_.wait(p, std::memory_order_acquire);
-    }
-    if (sim_->profile_) {
-      sim_->prof_.driver_wait_seconds +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-    }
-  }
-
- private:
-  void worker(std::uint32_t shard) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      epoch_.wait(seen, std::memory_order_acquire);
-      seen = epoch_.load(std::memory_order_acquire);
-      if (exit_.load(std::memory_order_relaxed)) return;
-      (sim_->*task_)(shard);
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        pending_.notify_one();
-      }
-    }
-  }
-
-  Simulation* sim_;
-  ShardTask task_ = nullptr;  // written before the epoch release, read after
-                              // the worker's acquire: ordered, no atomic
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::uint32_t> pending_{0};
-  std::atomic<bool> exit_{false};
-  std::vector<std::thread> threads_;
-};
-
 Simulation::~Simulation() = default;
-
-void Simulation::run_sharded(ShardTask task) {
-  if (team_) {
-    team_->run(task);
-  } else {
-    (this->*task)(0);
-  }
-}
 
 Simulation::Simulation(const Network& net, const SimParams& prm,
                        TrafficSource& source, telemetry::Collector* collector)
@@ -140,21 +60,6 @@ Simulation::Simulation(const Network& net, const SimParams& prm,
         "Simulation: num_vcs must be in [1, 32] (the VC occupancy index is "
         "one 32-bit mask per link port)");
   }
-  // Resolve the shard plan. reference_impl stays the serial oracle: the
-  // sharded engine must match it bit for bit at every shard count, so the
-  // reference itself never shards.
-  if (prm_.reference_impl) {
-    plan_ = ShardPlan::contiguous(net, 1);
-  } else if (prm_.shard_plan != nullptr) {
-    if (prm_.shard_plan->shard_of_router.size() != net.num_routers()) {
-      throw std::invalid_argument(
-          "Simulation: shard_plan does not match the network");
-    }
-    plan_ = *prm_.shard_plan;
-  } else {
-    plan_ = ShardPlan::contiguous(net, resolve_num_shards(prm_.num_shards));
-  }
-  num_shards_ = plan_.num_shards;
   const std::size_t nbuf = net.total_link_ports() * prm_.num_vcs;
   buf_store_.resize(nbuf * prm_.vc_buffer_flits);
   buf_head_.assign(nbuf, 0);
@@ -173,11 +78,8 @@ Simulation::Simulation(const Network& net, const SimParams& prm,
   out_rr_ej_.assign(eps, 0);
   out_rr_link_.assign(net.total_link_ports(), 0);
 
-  arr_depth_ = prm_.link_latency + prm_.router_latency + 1;
-  cred_depth_ = prm_.credit_latency + 1;
-  arrivals_.resize(static_cast<std::size_t>(num_shards_) * num_shards_ *
-                   arr_depth_);
-  credit_returns_.resize(static_cast<std::size_t>(num_shards_) * cred_depth_);
+  arrivals_.resize(prm_.link_latency + prm_.router_latency + 1);
+  credit_returns_.resize(prm_.credit_latency + 1);
 
   std::uint32_t max_out = 0, max_in = 0;
   for (Vertex r = 0; r < net.num_routers(); ++r) {
@@ -186,16 +88,13 @@ Simulation::Simulation(const Network& net, const SimParams& prm,
     max_in = std::max(max_in, deg * prm_.num_vcs + topo.conc[r]);
   }
   req_stride_ = max_in;
-  shard_scratch_.resize(num_shards_);
-  for (ShardScratch& sc : shard_scratch_) {
-    sc.req_store.resize(static_cast<std::size_t>(max_out) * req_stride_);
-    sc.req_count.assign(max_out, 0);
-    sc.inport_used.assign(max_out, 0);
-    if (stall_telemetry_) {
-      sc.out_want_credit.assign(max_out, 0);
-      sc.out_want_vc.assign(max_out, 0);
-      sc.out_granted.assign(max_out, 0);
-    }
+  scratch_.req_store.resize(static_cast<std::size_t>(max_out) * req_stride_);
+  scratch_.req_count.assign(max_out, 0);
+  scratch_.inport_used.assign(max_out, 0);
+  if (stall_telemetry_) {
+    scratch_.out_want_credit.assign(max_out, 0);
+    scratch_.out_want_vc.assign(max_out, 0);
+    scratch_.out_granted.assign(max_out, 0);
   }
 
   // Flat lookups: endpoint->router, downstream receive-buffer bases, and
@@ -227,18 +126,13 @@ Simulation::Simulation(const Network& net, const SimParams& prm,
     step_fn_ = &Simulation::step_reference;
   } else if (tel && has_faults_) {
     step_fn_ = &Simulation::step_impl<true, true>;
-    route_task_ = &Simulation::route_shard<true, true>;
   } else if (tel) {
     step_fn_ = &Simulation::step_impl<true, false>;
-    route_task_ = &Simulation::route_shard<true, false>;
   } else if (has_faults_) {
     step_fn_ = &Simulation::step_impl<false, true>;
-    route_task_ = &Simulation::route_shard<false, true>;
   } else {
     step_fn_ = &Simulation::step_impl<false, false>;
-    route_task_ = &Simulation::route_shard<false, false>;
   }
-  if (num_shards_ > 1) team_ = std::make_unique<ShardTeam>(this, num_shards_);
 }
 
 void Simulation::buffer_push(std::size_t b, Flit f) {
@@ -283,27 +177,17 @@ void Simulation::inj_push(std::uint64_t ep, std::uint32_t pkt_idx) {
   ++inj_count_[ep];
 }
 
-void Simulation::inj_pop_front(std::uint64_t ep,
-                               std::vector<std::uint32_t>& freed) {
+void Simulation::inj_pop_front(std::uint64_t ep) {
   const std::uint32_t node = inj_head_[ep];
   assert(node != kNilNode);
   inj_head_[ep] = inj_pool_[node].next;
-  freed.push_back(node);  // spliced onto the free list at the barrier
+  inj_pool_[node].next = inj_free_head_;
+  inj_free_head_ = node;
   if (inj_head_[ep] == kNilNode) {
     inj_tail_[ep] = kNilNode;
     --router_work_[ep_router_[ep]];
   }
   --inj_count_[ep];
-}
-
-void Simulation::splice_freed_inj_nodes() {
-  for (ShardScratch& sc : shard_scratch_) {
-    for (std::uint32_t node : sc.freed_inj) {
-      inj_pool_[node].next = inj_free_head_;
-      inj_free_head_ = node;
-    }
-    sc.freed_inj.clear();
-  }
 }
 
 std::uint32_t Simulation::new_packet(std::uint64_t src_ep, std::uint64_t dst_ep,
@@ -448,8 +332,7 @@ routing::PathChoice Simulation::ugal_select_fast(Vertex src, Vertex dst) {
 }
 
 bool Simulation::compute_route(std::uint32_t pkt_idx, Vertex r,
-                               std::uint16_t& out, std::uint8_t& ovc,
-                               ShardScratch& sc, bool staged) {
+                               std::uint16_t& out, std::uint8_t& ovc) {
   PacketRecord& pk = packets_[pkt_idx];
   if (pk.valiant && !pk.phase2 && r == pk.intermediate) pk.phase2 = true;
   if (faults_active_ && pk.valiant && !pk.phase2 &&
@@ -466,14 +349,7 @@ bool Simulation::compute_route(std::uint32_t pkt_idx, Vertex r,
         deg + (pk.dst_endpoint - net_->topology().first_endpoint(r)));
     ovc = 0;
     if (packet_telemetry_ && traced_[pkt_idx]) {
-      if (staged) {
-        sc.snaps.push_back(pk);
-        sc.events.push_back({StagedEvent::Kind::kRouted, ovc, /*flag=*/1, out,
-                             r, static_cast<std::uint32_t>(sc.snaps.size() - 1),
-                             0});
-      } else {
-        collector_->on_packet_routed(pk, r, out, ovc, /*eject=*/true, cycle_);
-      }
+      collector_->on_packet_routed(pk, r, out, ovc, /*eject=*/true, cycle_);
     }
     return true;
   }
@@ -481,12 +357,12 @@ bool Simulation::compute_route(std::uint32_t pkt_idx, Vertex r,
   if (faults_active_) {
     if (pk.hops >= fault_hop_limit_) return false;  // walked too far: drop
     if (prm_.reference_impl) {
-      sc.fault_hops.clear();
-      fault_routing_->next_hops(r, target, sc.fault_hops);
-      if (sc.fault_hops.empty()) return false;  // target unreachable
-      sc.fault_ports.clear();
-      for (Vertex h : sc.fault_hops) {
-        sc.fault_ports.push_back(
+      scratch_.fault_hops.clear();
+      fault_routing_->next_hops(r, target, scratch_.fault_hops);
+      if (scratch_.fault_hops.empty()) return false;  // target unreachable
+      scratch_.fault_ports.clear();
+      for (Vertex h : scratch_.fault_hops) {
+        scratch_.fault_ports.push_back(
             static_cast<std::uint16_t>(net_->port_toward(r, h)));
       }
     } else {
@@ -498,24 +374,24 @@ bool Simulation::compute_route(std::uint32_t pkt_idx, Vertex r,
       // Bit-identical to the reference branch -- `ctest -L perf` diffs it.
       const std::uint32_t d_cur = fault_routing_->distance(r, target);
       const std::size_t pb = net_->port_base(r);
-      sc.fault_ports.clear();
+      scratch_.fault_ports.clear();
       for (std::uint16_t p : net_->route_ports(r, target)) {
         if (link_down_[pb + p] != 0) continue;
         const Vertex h = net_->link_neighbor(pb + p);
         if (fault_routing_->distance(h, target) < d_cur) {
-          sc.fault_ports.push_back(p);
+          scratch_.fault_ports.push_back(p);
         }
       }
-      if (sc.fault_ports.empty()) {
+      if (scratch_.fault_ports.empty()) {
         // Base scheme routes into a hole: survivor-minimal next hops.
         for (Vertex h : fault_routing_->survivor_next_hops(r, target)) {
-          sc.fault_ports.push_back(
+          scratch_.fault_ports.push_back(
               static_cast<std::uint16_t>(net_->port_toward(r, h)));
         }
-        if (sc.fault_ports.empty()) return false;  // unreachable
+        if (scratch_.fault_ports.empty()) return false;  // unreachable
       }
     }
-    ports = sc.fault_ports;
+    ports = scratch_.fault_ports;
   } else {
     ports = net_->route_ports(r, target);
     assert(!ports.empty());
@@ -544,19 +420,12 @@ bool Simulation::compute_route(std::uint32_t pkt_idx, Vertex r,
     out = best;
   }
   if (packet_telemetry_ && traced_[pkt_idx]) {
-    if (staged) {
-      sc.snaps.push_back(pk);
-      sc.events.push_back({StagedEvent::Kind::kRouted, ovc, /*flag=*/0, out, r,
-                           static_cast<std::uint32_t>(sc.snaps.size() - 1),
-                           0});
-    } else {
-      collector_->on_packet_routed(pk, r, out, ovc, /*eject=*/false, cycle_);
-    }
+    collector_->on_packet_routed(pk, r, out, ovc, /*eject=*/false, cycle_);
   }
   return true;
 }
 
-void Simulation::finalize_flit(std::uint32_t pkt_idx, Vertex /*r*/) {
+void Simulation::finalize_flit(std::uint32_t pkt_idx) {
   PacketRecord& pk = packets_[pkt_idx];
   ++pk.delivered_flits;
   if (cycle_ >= measure_begin_ && cycle_ < measure_end_) {
@@ -569,8 +438,8 @@ void Simulation::finalize_flit(std::uint32_t pkt_idx, Vertex /*r*/) {
     if (metrics_period_ != 0) {
       // Interval latency covers every delivery (warmup/drain included):
       // the time series is about when packets arrive, not the measurement
-      // window. finalize_flit runs in the serial barrier replay, so the
-      // double accumulation order is canonical at any shard count.
+      // window. finalize_flit runs at the end of the cycle in router
+      // order, so the double accumulation order is canonical.
       const std::uint64_t mlat = cycle_ - pk.birth_cycle + 1;
       ++metrics_.lat_count;
       metrics_.lat_sum += static_cast<double>(mlat);
@@ -848,17 +717,13 @@ void Simulation::process_retransmits() {
 }
 
 void Simulation::process_pending_kills() {
-  // Merge the per-shard kill lists; purge_packets sorts and dedupes, so the
-  // merge order never shows (drops happen in ascending packet-pool order).
-  kill_merge_.clear();
-  for (ShardScratch& sc : shard_scratch_) {
-    kill_merge_.insert(kill_merge_.end(), sc.pending_kills.begin(),
-                       sc.pending_kills.end());
-    sc.pending_kills.clear();
-  }
-  if (kill_merge_.empty()) return;
-  purge_packets(kill_merge_);
-  for (std::uint32_t v : kill_merge_) drop_packet(v);
+  // purge_packets sorts and dedupes, so drops happen in ascending
+  // packet-pool order.
+  std::vector<std::uint32_t>& kills = scratch_.pending_kills;
+  if (kills.empty()) return;
+  purge_packets(kills);
+  for (std::uint32_t v : kills) drop_packet(v);
+  kills.clear();
 }
 
 bool Simulation::fault_progress_pending() const {
@@ -866,63 +731,25 @@ bool Simulation::fault_progress_pending() const {
   return next_fault_ < prm_.faults->events().size();
 }
 
-// Phase 1 body: deliver this cycle's arrivals addressed to `shard` (one
-// mailbox per sender shard, drained in ascending sender order -- the order
-// is free to pick because every arrival in a slot targets a distinct
-// buffer) plus the shard's own credit-return slot.
-void Simulation::deliver_shard(std::uint32_t shard) {
-  std::chrono::steady_clock::time_point prof_t0{};
-  if (profile_) prof_t0 = std::chrono::steady_clock::now();
-  const std::size_t arr_slot = cycle_ % arr_depth_;
-  for (std::uint32_t src = 0; src < num_shards_; ++src) {
-    auto& slot =
-        arrivals_[(static_cast<std::size_t>(src) * num_shards_ + shard) *
-                      arr_depth_ +
-                  arr_slot];
-    for (const Arrival& a : slot) buffer_push(a.buffer, a.flit);
-    slot.clear();
-  }
-  auto& credit_slot =
-      credit_returns_[static_cast<std::size_t>(shard) * cred_depth_ +
-                      cycle_ % cred_depth_];
-  for (std::uint32_t b : credit_slot) ++credits_[b];
-  credit_slot.clear();
-  if (profile_) {
-    shard_scratch_[shard].task_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      prof_t0)
-            .count();
-  }
-}
-
-// Phase 3 body: separable allocation + switch traversal over the shard's
-// routers in ascending order. Everything the phase writes is either owned
-// by the shard (its routers' buffers, VC state, injection queues, RR
-// pointers, occupancy index entries) or a cell no other shard touches this
-// phase (the downstream credits_/out_owner_ of the shard's own output
-// links: their unique writer AND unique phase-3 reader is this shard).
-// Side effects with a canonical order -- credit returns, deliveries,
-// collector hooks, unroutable-packet kills, freed injection nodes -- are
-// staged into the shard's mailboxes/ShardScratch and applied at the
-// barrier, which is what makes the result independent of the plan.
+// Phase 3: separable allocation + switch traversal over the routers in
+// ascending order. Side effects that must not be visible within the cycle
+// go through the rings (arrivals, credit returns) or scratch_ (ejections
+// finalized and unroutable packets killed at the end of the cycle).
 template <bool kTel, bool kFaults>
-void Simulation::route_shard(std::uint32_t shard) {
-  ShardScratch& sc = shard_scratch_[shard];
-  std::chrono::steady_clock::time_point prof_t0{};
-  if (profile_) prof_t0 = std::chrono::steady_clock::now();
+void Simulation::route_routers() {
+  CycleScratch& sc = scratch_;
   const auto& topo = net_->topology();
   const std::uint32_t num_vcs = prm_.num_vcs;
   // The rings are latency+1 deep, so this cycle's send slot is the one
   // just before the deliver slot -- computed once, no per-flit modulo.
-  const std::size_t arr_slot = cycle_ % arr_depth_;
-  const std::size_t arr_push = arr_slot == 0 ? arr_depth_ - 1 : arr_slot - 1;
-  const std::size_t cred_slot = cycle_ % cred_depth_;
-  const std::size_t cred_push =
-      cred_slot == 0 ? cred_depth_ - 1 : cred_slot - 1;
-  auto& cred_out =
-      credit_returns_[static_cast<std::size_t>(shard) * cred_depth_ +
-                      cred_push];
-  for (Vertex r : plan_.routers[shard]) {
+  const auto send_slot = [this](const auto& ring) -> std::size_t {
+    const std::size_t slot = cycle_ % ring.size();
+    return slot == 0 ? ring.size() - 1 : slot - 1;
+  };
+  auto& arr_out = arrivals_[send_slot(arrivals_)];
+  auto& cred_out = credit_returns_[send_slot(credit_returns_)];
+  const Vertex num_routers = net_->num_routers();
+  for (Vertex r = 0; r < num_routers; ++r) {
     // No buffered flit and no queued packet anywhere at this router: the
     // generic body would collect nothing, grant nothing, and report
     // nothing -- skip it whole.
@@ -983,9 +810,8 @@ void Simulation::route_shard(std::uint32_t shard) {
         VcState& st = vc_state_[b];
         if (!st.active) {
           // A head flit must be at the front (wormhole order).
-          if (!compute_route(f.pkt, r, st.out_port, st.out_vc, sc,
-                             /*staged=*/true)) {
-            sc.pending_kills.push_back(f.pkt);  // unroutable: killed at barrier
+          if (!compute_route(f.pkt, r, st.out_port, st.out_vc)) {
+            sc.pending_kills.push_back(f.pkt);  // unroutable: killed at cycle end
             continue;
           }
           st.active = true;
@@ -1002,8 +828,7 @@ void Simulation::route_shard(std::uint32_t shard) {
       const std::uint32_t pkt = inj_pool_[head].pkt;
       VcState& st = inj_state_[ep];
       if (!st.active) {
-        if (!compute_route(pkt, r, st.out_port, st.out_vc, sc,
-                           /*staged=*/true)) {
+        if (!compute_route(pkt, r, st.out_port, st.out_vc)) {
           sc.pending_kills.push_back(pkt);
           continue;
         }
@@ -1015,7 +840,7 @@ void Simulation::route_shard(std::uint32_t shard) {
     if (!any) {
       // Nothing reached arbitration; blocked inputs may still want ports.
       if constexpr (kTel) {
-        if (stall_telemetry_) report_output_stalls(r, deg, sc, /*staged=*/true);
+        if (stall_telemetry_) report_output_stalls(r, deg);
       }
       continue;
     }
@@ -1047,15 +872,15 @@ void Simulation::route_shard(std::uint32_t shard) {
       PacketRecord& pk = packets_[pkt_idx];
 
       // Pop the flit from its input. Credits return through the ring even
-      // at credit_latency == 0 (barrier semantics: the freed slot becomes
-      // visible next cycle, never mid-loop).
+      // at credit_latency == 0 (the freed slot becomes visible next cycle,
+      // never mid-loop).
       Flit f;
       if (req.input_key & kInjectionFlag) {
         const std::uint64_t ep = req.input_key & ~kInjectionFlag;
         f = {pkt_idx, inj_sent_[ep]};
         ++inj_sent_[ep];
         if (f.seq + 1u == pk.flits) {
-          inj_pop_front(ep, sc.freed_inj);
+          inj_pop_front(ep);
           inj_sent_[ep] = 0;
           inj_state_[ep].active = false;
         }
@@ -1075,12 +900,8 @@ void Simulation::route_shard(std::uint32_t shard) {
           ++pk.hops;
           if constexpr (kTel) {
             if (packet_telemetry_ && traced_[pkt_idx]) {
-              sc.snaps.push_back(pk);
-              sc.events.push_back(
-                  {StagedEvent::Kind::kHop, req.ovc, 0,
-                   static_cast<std::uint16_t>(o), r,
-                   static_cast<std::uint32_t>(sc.snaps.size() - 1),
-                   trace_arrival_[pkt_idx]});
+              collector_->on_packet_hop(pk, r, o, req.ovc,
+                                        trace_arrival_[pkt_idx], cycle_);
               // Head flit lands at the neighbour after link + router
               // latency; the next hop's wait is measured from that arrival.
               trace_arrival_[pkt_idx] =
@@ -1090,133 +911,31 @@ void Simulation::route_shard(std::uint32_t shard) {
         }
         if (f.seq + 1u == pk.flits) out_owner_[recv] = 0;
         --credits_[recv];
-        const std::uint32_t peer =
-            plan_.shard_of_router[buf_router_[recv]];
-        arrivals_[(static_cast<std::size_t>(shard) * num_shards_ + peer) *
-                      arr_depth_ +
-                  arr_push]
-            .push_back({static_cast<std::uint32_t>(recv), f});
+        arr_out.push_back({static_cast<std::uint32_t>(recv), f});
         if constexpr (kTel) {
-          if (link_telemetry_) {
-            sc.events.push_back({StagedEvent::Kind::kLink, 0, 0, 0, r,
-                                 static_cast<std::uint32_t>(pb + o), 0});
-          }
+          if (link_telemetry_) collector_->on_link_flit(pb + o, cycle_);
         }
       } else {
-        sc.finals.push_back({r, pkt_idx});  // delivery bookkeeping at barrier
+        sc.finals.push_back(pkt_idx);  // delivery bookkeeping at cycle end
       }
       if constexpr (kTel) {
         if (stall_telemetry_) sc.out_granted[o] = 1;
       }
-      ++sc.moved;
+      ++moved_this_cycle_;
     }
     if constexpr (kTel) {
-      if (stall_telemetry_) report_output_stalls(r, deg, sc, /*staged=*/true);
+      if (stall_telemetry_) report_output_stalls(r, deg);
     }
-  }
-  if (profile_) {
-    sc.task_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      prof_t0)
-            .count();
   }
 }
 
-void Simulation::replay_event(const StagedEvent& e, const ShardScratch& sc) {
-  switch (e.kind) {
-    case StagedEvent::Kind::kRouted:
-      collector_->on_packet_routed(sc.snaps[e.idx], e.router, e.port, e.ovc,
-                                   e.flag != 0, cycle_);
-      break;
-    case StagedEvent::Kind::kHop:
-      collector_->on_packet_hop(sc.snaps[e.idx], e.router, e.port, e.ovc,
-                                e.aux, cycle_);
-      break;
-    case StagedEvent::Kind::kLink:
-      collector_->on_link_flit(e.idx, cycle_);
-      break;
-    case StagedEvent::Kind::kStall:
-      collector_->on_output_stall(
-          e.router, e.port, static_cast<telemetry::StallCause>(e.flag),
-          cycle_);
-      break;
-  }
-}
-
-// K-way merge of the per-shard hook streams by router index. Each shard's
-// stream is ascending in router (its router list is ascending) and routers
-// are uniquely owned, so always draining the smallest-router head
-// reproduces the order a serial sweep would have produced -- for any
-// ShardPlan, contiguous or not.
-void Simulation::replay_staged_events() {
-  if (num_shards_ == 1) {
-    ShardScratch& sc = shard_scratch_[0];
-    for (const StagedEvent& e : sc.events) replay_event(e, sc);
-    sc.events.clear();
-    sc.snaps.clear();
-    return;
-  }
-  merge_cur_.assign(num_shards_, 0);
-  for (;;) {
-    std::uint32_t best = num_shards_;
-    Vertex best_router = 0;
-    for (std::uint32_t s = 0; s < num_shards_; ++s) {
-      const auto& ev = shard_scratch_[s].events;
-      if (merge_cur_[s] >= ev.size()) continue;
-      const Vertex r = ev[merge_cur_[s]].router;
-      if (best == num_shards_ || r < best_router) {
-        best = s;
-        best_router = r;
-      }
-    }
-    if (best == num_shards_) break;
-    ShardScratch& sc = shard_scratch_[best];
-    std::size_t& cur = merge_cur_[best];
-    while (cur < sc.events.size() && sc.events[cur].router == best_router) {
-      replay_event(sc.events[cur], sc);
-      ++cur;
-    }
-  }
-  for (ShardScratch& sc : shard_scratch_) {
-    sc.events.clear();
-    sc.snaps.clear();
-  }
-}
-
-// Same merge for the deferred delivery bookkeeping. finalize_flit may
-// re-enter the packet pool and the injection queues (on_delivered), so it
-// must run serially and in canonical order -- delivered counters, latency
-// accumulation order, pool-index reuse and any traffic a motif engine
-// enqueues all reproduce the serial sweep exactly.
-void Simulation::replay_finalizes() {
-  if (num_shards_ == 1) {
-    ShardScratch& sc = shard_scratch_[0];
-    for (const FinalizeRec& fr : sc.finals) finalize_flit(fr.pkt, fr.router);
-    sc.finals.clear();
-    return;
-  }
-  merge_cur_.assign(num_shards_, 0);
-  for (;;) {
-    std::uint32_t best = num_shards_;
-    Vertex best_router = 0;
-    for (std::uint32_t s = 0; s < num_shards_; ++s) {
-      const auto& fs = shard_scratch_[s].finals;
-      if (merge_cur_[s] >= fs.size()) continue;
-      const Vertex r = fs[merge_cur_[s]].router;
-      if (best == num_shards_ || r < best_router) {
-        best = s;
-        best_router = r;
-      }
-    }
-    if (best == num_shards_) break;
-    ShardScratch& sc = shard_scratch_[best];
-    std::size_t& cur = merge_cur_[best];
-    while (cur < sc.finals.size() && sc.finals[cur].router == best_router) {
-      finalize_flit(sc.finals[cur].pkt, sc.finals[cur].router);
-      ++cur;
-    }
-  }
-  for (ShardScratch& sc : shard_scratch_) sc.finals.clear();
+// Finalize may re-enter the packet pool and the injection queues
+// (on_delivered), so it runs after the router loop, in the loop's router
+// order: delivered counters, latency accumulation order, pool-index reuse
+// and any traffic a motif engine enqueues are fixed by that order.
+void Simulation::finalize_ejections() {
+  for (std::uint32_t pkt : scratch_.finals) finalize_flit(pkt);
+  scratch_.finals.clear();
 }
 
 template <bool kTel, bool kFaults>
@@ -1234,7 +953,7 @@ void Simulation::step_impl() {
     prof_t = now;
   };
 
-  // Phase 0 (serial) -- live faults: apply due schedule events (dropping
+  // Phase 0 -- live faults: apply due schedule events (dropping
   // casualties), then re-enqueue packets whose retransmission backoff
   // expired.
   if constexpr (kFaults) {
@@ -1243,33 +962,29 @@ void Simulation::step_impl() {
   }
   prof_lap(prof_.fault_seconds);
 
-  // Phase 1 (parallel) -- deliver link arrivals and credit returns
-  // scheduled for this cycle, each shard draining its own mailboxes.
-  run_sharded(&Simulation::deliver_shard);
+  // Phase 1 -- deliver link arrivals and credit returns scheduled for this
+  // cycle.
+  auto& arr_slot = arrivals_[cycle_ % arrivals_.size()];
+  for (const Arrival& a : arr_slot) buffer_push(a.buffer, a.flit);
+  arr_slot.clear();
+  auto& credit_slot = credit_returns_[cycle_ % credit_returns_.size()];
+  for (std::uint32_t b : credit_slot) ++credits_[b];
+  credit_slot.clear();
   prof_lap(prof_.deliver_seconds);
 
-  // Phase 2 (serial) -- traffic generation: one legacy RNG stream, shared
-  // by injection and UGAL path selection, so sharding never moves a random
-  // draw.
+  // Phase 2 -- traffic generation: one RNG stream, shared by injection and
+  // UGAL path selection.
   source_->tick(*this);
   prof_lap(prof_.inject_seconds);
 
-  // Phase 3 (parallel) -- per-router separable allocation + switch
-  // traversal over each shard's routers; ordered side effects staged.
-  run_sharded(route_task_);
+  // Phase 3 -- per-router separable allocation + switch traversal.
+  moved_this_cycle_ = 0;
+  route_routers<kTel, kFaults>();
   prof_lap(prof_.route_seconds);
 
-  // Phase 4 (serial barrier) -- replay the staged streams in canonical
-  // ascending-router order, then the cycle bookkeeping.
-  if constexpr (kTel) replay_staged_events();
-  replay_finalizes();
-  splice_freed_inj_nodes();
-  moved_this_cycle_ = 0;
-  for (ShardScratch& sc : shard_scratch_) {
-    moved_this_cycle_ += sc.moved;
-    sc.moved = 0;
-  }
-
+  // Phase 4 -- end of cycle: finalize ejections in router order, kill
+  // unroutable packets, then the progress bookkeeping.
+  finalize_ejections();
   if constexpr (kFaults) process_pending_kills();
 
   bool progress = moved_this_cycle_ > 0 || live_packets_ == 0;
@@ -1290,9 +1005,8 @@ void Simulation::step_impl() {
           cycle_, {std::span<const std::uint16_t>(buf_size_), prm_.num_vcs});
     }
     // Metrics frames close end-of-cycle so an interval of K covers exactly
-    // K source ticks / barrier replays: [0,K), [K,2K), ... Every counter
-    // the frame reads was last mutated in this cycle's serial phases, so
-    // the sample is bit-identical at any shard count (see MetricsState).
+    // K source ticks / finalize passes: [0,K), [K,2K), ... (see
+    // MetricsState).
     if (metrics_period_ != 0 && (cycle_ + 1) % metrics_period_ == 0) {
       emit_metrics_frame(cycle_ + 1);
     }
@@ -1315,8 +1029,6 @@ void Simulation::step_reference() {
     process_retransmits();
   }
 
-  // reference_impl forces num_shards == 1, so the flattened mailbox array
-  // is a plain ring of arr_depth_ slots and plain modulo math addresses it.
   auto& slot = arrivals_[cycle_ % arrivals_.size()];
   for (const Arrival& a : slot) buffer_push(a.buffer, a.flit);
   slot.clear();
@@ -1326,7 +1038,7 @@ void Simulation::step_reference() {
 
   source_->tick(*this);
 
-  ShardScratch& sc = shard_scratch_[0];
+  CycleScratch& sc = scratch_;
   const auto& topo = net_->topology();
   moved_this_cycle_ = 0;
   for (Vertex r = 0; r < net_->num_routers(); ++r) {
@@ -1379,8 +1091,7 @@ void Simulation::step_reference() {
         const Flit f = buffer_front(b);
         VcState& st = vc_state_[b];
         if (!st.active) {
-          if (!compute_route(f.pkt, r, st.out_port, st.out_vc, sc,
-                             /*staged=*/false)) {
+          if (!compute_route(f.pkt, r, st.out_port, st.out_vc)) {
             sc.pending_kills.push_back(f.pkt);
             continue;
           }
@@ -1397,8 +1108,7 @@ void Simulation::step_reference() {
       const std::uint32_t pkt = inj_pool_[inj_head_[ep]].pkt;
       VcState& st = inj_state_[ep];
       if (!st.active) {
-        if (!compute_route(pkt, r, st.out_port, st.out_vc, sc,
-                           /*staged=*/false)) {
+        if (!compute_route(pkt, r, st.out_port, st.out_vc)) {
           sc.pending_kills.push_back(pkt);
           continue;
         }
@@ -1408,7 +1118,7 @@ void Simulation::step_reference() {
                st.out_port, st.out_vc, inj_sent_[ep]);
     }
     if (!any) {
-      if (stall_telemetry_) report_output_stalls(r, deg, sc, /*staged=*/false);
+      if (stall_telemetry_) report_output_stalls(r, deg);
       continue;
     }
 
@@ -1448,7 +1158,7 @@ void Simulation::step_reference() {
         f = {pkt_idx, inj_sent_[ep]};
         ++inj_sent_[ep];
         if (f.seq + 1u == pk.flits) {
-          inj_pop_front(ep, sc.freed_inj);
+          inj_pop_front(ep);
           inj_sent_[ep] = 0;
           inj_state_[ep].active = false;
         }
@@ -1456,8 +1166,8 @@ void Simulation::step_reference() {
         const std::size_t b = req.input_key;
         f = buffer_front(b);
         buffer_pop(b);
-        // Barrier semantics: even credit_latency == 0 returns through the
-        // ring (the one slot was drained this cycle; visible next cycle).
+        // Even credit_latency == 0 returns through the ring (the one slot
+        // was drained this cycle; visible next cycle).
         credit_returns_[(cycle_ + prm_.credit_latency) %
                         credit_returns_.size()]
             .push_back(static_cast<std::uint32_t>(b));
@@ -1487,16 +1197,15 @@ void Simulation::step_reference() {
           collector_->on_link_flit(net_->link_index(r, o), cycle_);
         }
       } else {
-        sc.finals.push_back({r, pkt_idx});  // delivered at end-of-sweep
+        sc.finals.push_back(pkt_idx);  // delivered at end-of-sweep
       }
       if (stall_telemetry_) sc.out_granted[o] = 1;
       ++moved_this_cycle_;
     }
-    if (stall_telemetry_) report_output_stalls(r, deg, sc, /*staged=*/false);
+    if (stall_telemetry_) report_output_stalls(r, deg);
   }
 
-  replay_finalizes();
-  splice_freed_inj_nodes();
+  finalize_ejections();
   if (has_faults_) process_pending_kills();
 
   if (moved_this_cycle_ > 0 || live_packets_ == 0 ||
@@ -1510,9 +1219,9 @@ void Simulation::step_reference() {
         cycle_, {std::span<const std::uint16_t>(buf_size_), prm_.num_vcs});
   }
   // Same end-of-cycle metrics sample site as step_impl: the frame reads
-  // only counters both engines mutate through the shared serial helpers
+  // only counters both engines mutate through the shared helpers
   // (new_packet / finalize_flit / fault paths), so the series is
-  // bit-identical to the optimized engine at any shard count.
+  // bit-identical to the optimized engine.
   if (metrics_period_ != 0 && (cycle_ + 1) % metrics_period_ == 0) {
     emit_metrics_frame(cycle_ + 1);
   }
@@ -1525,8 +1234,8 @@ void Simulation::step_reference() {
 // flits blocked upstream of arbitration on credits or VC ownership. Ports
 // with no waiting traffic are idle and not reported (the collector derives
 // idle from the window length). Ejection ports are excluded.
-void Simulation::report_output_stalls(Vertex r, std::uint32_t deg,
-                                      ShardScratch& sc, bool staged) {
+void Simulation::report_output_stalls(Vertex r, std::uint32_t deg) {
+  const CycleScratch& sc = scratch_;
   for (std::uint32_t o = 0; o < deg; ++o) {
     if (sc.out_granted[o]) continue;
     telemetry::StallCause cause;
@@ -1539,13 +1248,7 @@ void Simulation::report_output_stalls(Vertex r, std::uint32_t deg,
     } else {
       continue;  // empty: no buffered flit wanted this port
     }
-    if (staged) {
-      sc.events.push_back({StagedEvent::Kind::kStall, 0,
-                           static_cast<std::uint8_t>(cause),
-                           static_cast<std::uint16_t>(o), r, 0, 0});
-    } else {
-      collector_->on_output_stall(r, o, cause, cycle_);
-    }
+    collector_->on_output_stall(r, o, cause, cycle_);
   }
 }
 
@@ -1712,10 +1415,8 @@ SimResult Simulation::collect(std::uint64_t cycles) {
   if (profile_) {
     res.profile = prof_;
     res.profile.enabled = true;
-    res.profile.shard_task_seconds.resize(num_shards_, 0.0);
-    for (std::uint32_t s = 0; s < num_shards_; ++s) {
-      res.profile.shard_task_seconds[s] = shard_scratch_[s].task_seconds;
-    }
+    res.profile.shard_task_seconds = {prof_.deliver_seconds +
+                                      prof_.route_seconds};
   }
   res.source = source_->report();
   if (collector_ != nullptr) {

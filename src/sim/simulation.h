@@ -23,7 +23,6 @@
 
 #include "routing/ugal.h"
 #include "sim/network.h"
-#include "sim/shard_plan.h"
 #include "telemetry/collector.h"
 #include "telemetry/packet_trace.h"
 #include "telemetry/summary.h"
@@ -82,18 +81,6 @@ struct SimParams {
   /// diameter; packets over budget are dropped and retransmitted). Also
   /// clamps the VC index. 0 = num_vcs * 4.
   std::uint32_t fault_hop_limit = 0;
-  /// Worker shards executing each cycle's router loop in parallel with
-  /// barrier-synchronous semantics. Results are bit-identical at ANY value
-  /// (the POLARSTAR_THREADS contract, extended inside one Simulation).
-  /// 0 = POLARSTAR_SHARDS from the environment, else 1. Clamped to the
-  /// router count. Ignored (forced serial) under reference_impl.
-  std::uint32_t num_shards = 0;
-  /// Optional explicit router->shard plan (non-owning; must outlive the
-  /// Simulation and match the Network). nullptr = ShardPlan::contiguous
-  /// over the resolved shard count; a partitioner-driven plan (see
-  /// partition::shard_plan_from_partition) reduces cross-shard mailbox
-  /// traffic without changing results.
-  const ShardPlan* shard_plan = nullptr;
   /// Testing escape hatch: route every per-hop/per-packet query through the
   /// generic reference implementations (routing::UgalSelector over the
   /// virtual MinimalRouting, FaultAwareRouting::next_hops, the fully gated
@@ -102,32 +89,28 @@ struct SimParams {
   /// asserts it. Slow; never set outside tests.
   bool reference_impl = false;
   /// Engine self-profiler: attribute wall-clock time to the optimized step
-  /// loop's phases (faults, mailbox delivery, injection, switch allocation,
-  /// barrier replay, telemetry sampling) and to each shard's task body;
-  /// results land in SimResult::profile. Wall time only -- simulation
-  /// outputs are bit-identical with the profiler on or off. Not wired into
+  /// loop's phases (faults, link delivery, injection, switch allocation,
+  /// end-of-cycle bookkeeping, telemetry sampling); results land in
+  /// SimResult::profile. Wall time only -- simulation outputs are
+  /// bit-identical with the profiler on or off. Not wired into
   /// step_reference (the frozen twin stays verbatim), where profile yields
   /// an empty report.
   bool profile = false;
 };
 
 /// Wall-clock attribution for the simulator itself (SimParams::profile).
-/// Phase seconds cover the optimized step loop end to end; shard 0 runs on
-/// the calling thread, so deliver/route include its share of the parallel
-/// phases while driver_wait_seconds is the time the caller spent blocked on
-/// the other shards' barrier.
+/// Phase seconds cover the optimized step loop end to end.
 struct EngineProfile {
   bool enabled = false;
   std::uint64_t cycles = 0;        ///< cycles attributed below
   double fault_seconds = 0.0;      ///< phase 0: schedule events + retransmits
-  double deliver_seconds = 0.0;    ///< phase 1: arrival/credit mailbox drain
+  double deliver_seconds = 0.0;    ///< phase 1: arrival/credit ring drain
   double inject_seconds = 0.0;     ///< phase 2: traffic source tick
   double route_seconds = 0.0;      ///< phase 3: allocation + traversal
-  double barrier_seconds = 0.0;    ///< phase 4: staged replay + bookkeeping
+  double barrier_seconds = 0.0;    ///< phase 4: finalizes, kills, progress
   double telemetry_seconds = 0.0;  ///< end of cycle: occupancy/metrics hooks
-  double driver_wait_seconds = 0.0;  ///< calling thread blocked at barriers
-  /// Seconds each shard spent inside deliver/route task bodies (index =
-  /// shard id; size = resolved shard count).
+  // Kept for perfbench/ only: always 0, and one deliver+route entry.
+  double driver_wait_seconds = 0.0;
   std::vector<double> shard_task_seconds;
 };
 
@@ -310,10 +293,7 @@ class Simulation {
     std::uint32_t next;
   };
   void inj_push(std::uint64_t ep, std::uint32_t pkt_idx);
-  // Unlinks the head node and parks it on `freed` instead of the shared
-  // free list: the router loop runs sharded, and the global free list is
-  // spliced once at the end-of-cycle barrier (see splice_freed_inj_nodes).
-  void inj_pop_front(std::uint64_t ep, std::vector<std::uint32_t>& freed);
+  void inj_pop_front(std::uint64_t ep);
 
   // UGAL-L fast path: bit-identical replica of routing::UgalSelector's
   // select()/cost() (same RNG consumption, same double accumulation order)
@@ -326,16 +306,6 @@ class Simulation {
   // occupancy() resolved to a directed link index (= port_base(r) + port).
   double occupancy_by_port(std::size_t link) const;
 
-  // ---- Sharded barrier-synchronous engine (see DESIGN.md) ----
-  // Every per-cycle side effect whose global order matters is staged per
-  // shard during the parallel router phase and replayed at the barrier in
-  // ascending-router order -- each shard iterates its routers ascending,
-  // so a K-way merge over the per-shard streams reproduces the serial
-  // order for any ShardPlan and any shard count.
-  struct FinalizeRec {
-    graph::Vertex router;
-    std::uint32_t pkt;
-  };
   // One switch-allocation request: req_stride_ slots per output port
   // (enough for every input of the widest router), with per-output counts
   // -- resetting a router's requests is nout stores.
@@ -345,51 +315,28 @@ class Simulation {
     std::uint16_t inport;     // arbitration input-port index at this router
     std::uint8_t ovc;
   };
-  // One deferred collector hook from the router loop. PacketRecord
-  // arguments are snapshotted at staging time (ShardScratch::snaps); the
-  // packet may mutate before the barrier replays the event.
-  struct StagedEvent {
-    enum class Kind : std::uint8_t { kRouted, kHop, kLink, kStall };
-    Kind kind;
-    std::uint8_t ovc;
-    std::uint8_t flag;  // kRouted: eject; kStall: StallCause
-    std::uint16_t port;
-    graph::Vertex router;
-    std::uint32_t idx;  // kRouted/kHop: snapshot index; kLink: link index
-    std::uint64_t aux;  // kHop: hop-wait arrival cycle
-  };
-  // Per-shard working state: allocation scratch (was shared members before
-  // the engine sharded) plus the staging buffers drained at the barrier.
-  struct ShardScratch {
-    // Allocation scratch, reused router to router within the shard.
+  // Router-loop working state: allocation scratch reused router to router,
+  // plus the work deferred to the end of the cycle.
+  struct CycleScratch {
     std::vector<Request> req_store;
     std::vector<std::uint32_t> req_count;
     std::vector<std::uint8_t> inport_used;
     std::vector<std::uint8_t> out_want_credit, out_want_vc, out_granted;
     std::vector<graph::Vertex> fault_hops;
     std::vector<std::uint16_t> fault_ports;
-    // Staged for the barrier.
+    // Unroutable packets, killed at the end of the cycle.
     std::vector<std::uint32_t> pending_kills;
-    std::vector<std::uint32_t> freed_inj;
-    std::vector<FinalizeRec> finals;
-    std::vector<StagedEvent> events;
-    std::vector<PacketRecord> snaps;
-    std::uint64_t moved = 0;
-    // Self-profiler: seconds this shard spent inside deliver/route task
-    // bodies (only accumulated when profile_).
-    double task_seconds = 0.0;
+    // Ejected flits (packet index), finalized at the end of the cycle in
+    // ascending router order -- the order the router loop appends them.
+    std::vector<std::uint32_t> finals;
   };
 
   // Route the head flit of packet pkt_idx at router r; fills out/ovc.
   // Fault-free a minimal next hop always exists and this returns true;
   // under faults it returns false when no live route remains (or the hop
   // budget is spent) and the caller queues the packet for a drop.
-  // `sc` supplies the fault scratch; `staged` defers the on_packet_routed
-  // hook into sc.events (parallel router loop) instead of firing it inline
-  // (serial reference loop).
   bool compute_route(std::uint32_t pkt_idx, graph::Vertex r,
-                     std::uint16_t& out, std::uint8_t& ovc, ShardScratch& sc,
-                     bool staged);
+                     std::uint16_t& out, std::uint8_t& ovc);
 
   // One full cycle. Dispatches through step_fn_, bound at construction:
   // the template parameters hoist the telemetry and fault cap-gates out of
@@ -402,25 +349,12 @@ class Simulation {
   void step() { (this->*step_fn_)(); }
   template <bool kTel, bool kFaults>
   void step_impl();
-
-  // Phase bodies the shard team executes (shard 0 on the calling thread).
-  // deliver_shard drains this cycle's arrival mailboxes addressed to the
-  // shard plus the shard's own credit-return ring slot; route_shard runs
-  // collection / arbitration / traversal over the shard's routers, staging
-  // every cross-cycle or ordered side effect into its ShardScratch.
-  void deliver_shard(std::uint32_t shard);
+  // Phase 3 of step_impl: collection / arbitration / traversal over every
+  // router with work, in ascending router order.
   template <bool kTel, bool kFaults>
-  void route_shard(std::uint32_t shard);
-  // Barrier tail: replay the staged streams in canonical order, splice the
-  // freed injection nodes, sum the per-shard moved counters.
-  void replay_staged_events();
-  void replay_event(const StagedEvent& e, const ShardScratch& sc);
-  void replay_finalizes();
-  void splice_freed_inj_nodes();
-  // Runs `task` on every shard: through the worker team when num_shards_
-  // > 1, else directly on this thread.
-  using ShardTask = void (Simulation::*)(std::uint32_t);
-  void run_sharded(ShardTask task);
+  void route_routers();
+  // End of cycle: finalize this cycle's ejected flits in router order.
+  void finalize_ejections();
   // The pre-optimization cycle loop, kept verbatim (adapted only to the
   // pooled queue storage): scans every router/VC instead of the work
   // masks, recomputes receive-buffer indexes and arbitration input ports
@@ -438,10 +372,9 @@ class Simulation {
   void process_pending_kills();
   bool fault_progress_pending() const;  // work left besides in-network flits
   // Classify and report this cycle's non-moving output link ports of r
-  // (stall telemetry only); staged defers into sc.events.
-  void report_output_stalls(graph::Vertex r, std::uint32_t deg,
-                            ShardScratch& sc, bool staged);
-  void finalize_flit(std::uint32_t pkt_idx, graph::Vertex r);
+  // (stall telemetry only).
+  void report_output_stalls(graph::Vertex r, std::uint32_t deg);
+  void finalize_flit(std::uint32_t pkt_idx);
   void check_invariants() const;  // paranoid mode
 
   SimResult collect(std::uint64_t cycles);
@@ -460,12 +393,11 @@ class Simulation {
   bool ugal_telemetry_ = false;
   std::uint32_t occupancy_period_ = 0;
   // Periodic counter sampling (caps().metrics_period). Every counter a
-  // MetricsFrame reads is mutated in the serial phases only (injection in
-  // the source tick, ejection/latency in the barrier's finalize replay,
-  // fault counters in phase 0), and the sample itself fires in the serial
-  // end-of-cycle tail, so frames are bit-identical at any shard count
-  // without staging. The MetricsState snapshots turn the cumulative
-  // counters into interval diffs.
+  // MetricsFrame reads is mutated outside the router loop (injection in
+  // the source tick, ejection/latency in the end-of-cycle finalizes, fault
+  // counters in phase 0), and the sample fires at the end of the cycle, so
+  // frames are bit-identical to the reference loop. The MetricsState
+  // snapshots turn the cumulative counters into interval diffs.
   std::uint32_t metrics_period_ = 0;
   std::uint64_t metrics_accepted_flits_ = 0;  // cumulative ejected flits
   struct MetricsState {
@@ -534,38 +466,20 @@ class Simulation {
   std::vector<std::uint16_t> inj_sent_;  // flits of head packet already sent
   std::vector<VcState> inj_state_;
 
-  // Link pipeline, shard-mailboxed. Arrivals live in one ring of depth
-  // arr_depth_ per (sender shard, receiver shard) pair, flattened as
-  // [(s * num_shards_ + t) * arr_depth_ + cycle % arr_depth_]: senders
-  // write without synchronisation, receivers drain their column in
-  // ascending sender order. Within one slot every arrival targets a
-  // distinct buffer (a directed link carries at most one flit per cycle),
-  // so the drain order cannot affect state. Credit returns are shard-local
-  // (a pop returns the credit to the popping router's own buffer):
-  // [s * cred_depth_ + cycle % cred_depth_]. With num_shards_ == 1 both
-  // collapse to the classic single rings.
+  // Link pipeline: arrivals and credit returns each live in one ring of
+  // latency + 1 slots indexed by cycle. Within one arrival slot every
+  // arrival targets a distinct buffer (a directed link carries at most one
+  // flit per cycle), so the drain order cannot affect state.
   std::vector<std::vector<Arrival>> arrivals_;
   std::vector<std::vector<std::uint32_t>> credit_returns_;
-  std::size_t arr_depth_ = 1, cred_depth_ = 1;
 
   // Per-output round-robin pointers, indexed by router-port (links) and
   // ejection slots.
   std::vector<std::uint16_t> out_rr_link_;
   std::vector<std::uint16_t> out_rr_ej_;
-  std::vector<std::uint64_t> ej_base_;  // first ejection-rr index per router
 
-  // Sharded engine: resolved plan, per-shard scratch (allocation state the
-  // pre-shard engine kept in shared members, plus the barrier staging
-  // buffers), and the persistent worker team (null when num_shards_ == 1).
-  std::uint32_t num_shards_ = 1;
-  ShardPlan plan_;
   std::size_t req_stride_ = 0;
-  std::vector<ShardScratch> shard_scratch_;
-  class ShardTeam;
-  std::unique_ptr<ShardTeam> team_;
-  ShardTask route_task_ = nullptr;  // route_shard<kTel, kFaults> binding
-  std::vector<std::uint32_t> kill_merge_;  // pending-kill merge scratch
-  std::vector<std::size_t> merge_cur_;     // replay-merge cursor scratch
+  CycleScratch scratch_;
 
   routing::UgalSelector ugal_;  // reference selector (reference_impl mode)
 

@@ -152,8 +152,9 @@ struct PacketFilter {
 /// plus gauges read at end_cycle. Frames tile the run contiguously (the
 /// frame after this one begins at end_cycle) and the final frame may cover
 /// a short remainder, so summing any field's diffs over all frames yields
-/// the run total. Every field is accumulated in the simulator's serial
-/// phases, so frames are bit-identical at any thread or shard count.
+/// the run total. Every field is accumulated outside the simulator's
+/// router loop, so frames are bit-identical at any thread count and vs
+/// reference_impl.
 struct MetricsFrame {
   std::uint64_t begin_cycle = 0;
   std::uint64_t end_cycle = 0;

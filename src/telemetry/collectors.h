@@ -182,9 +182,9 @@ class UgalCollector final : public Collector {
 /// on a finer grid than `interval` (CollectorSet merges member periods with
 /// gcd); the collector re-buckets them, closing a record whenever a frame
 /// ends on its own grid and once more at run end for the remainder. Every
-/// source counter is accumulated in the simulator's serial phases, so the
-/// series is bit-identical at any POLARSTAR_THREADS x POLARSTAR_SHARDS and
-/// vs reference_impl.
+/// source counter is accumulated outside the simulator's router loop, so
+/// the series is bit-identical at any POLARSTAR_THREADS and vs
+/// reference_impl.
 class TimeSeriesCollector final : public Collector {
  public:
   explicit TimeSeriesCollector(std::uint32_t interval) : interval_(interval) {}

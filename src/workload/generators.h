@@ -22,7 +22,7 @@
 //
 // All generators inject from tick() with per-source RNGs seeded from
 // Context::seed, so every scenario is deterministic, bit-identical at any
-// POLARSTAR_THREADS x POLARSTAR_SHARDS, and trace-recordable (trace.h).
+// POLARSTAR_THREADS, and trace-recordable (trace.h).
 #pragma once
 
 #include <cstdint>
@@ -126,10 +126,9 @@ class MultiTenantWorkload final : public Workload {
   std::vector<std::uint32_t> placement_;
 };
 
-/// Expands a router -> part map (e.g. StreamPartition::part_of_vertex, or
-/// a ShardPlan's shard_of_router) into the per-endpoint tenant map
-/// MultiTenantWorkload's explicit placement takes: endpoint e joins the
-/// part of its router. router_part.size() must equal topo.num_routers().
+/// Expands a router -> part map (e.g. StreamPartition::part_of_vertex)
+/// into the per-endpoint tenant map MultiTenantWorkload's explicit
+/// placement takes: endpoint e joins the part of its router. router_part.size() must equal topo.num_routers().
 std::vector<std::uint32_t> placement_from_router_parts(
     const topo::Topology& topo, std::span<const std::uint32_t> router_part);
 

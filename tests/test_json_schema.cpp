@@ -68,6 +68,26 @@ TEST(JsonParser, RejectsMalformedDocuments) {
 // supplementary-plane ones through surrogate pairs; lone or truncated
 // surrogates are malformed. Regression test -- the parser used to reject
 // every \u escape.
+// Nesting is capped so hostile input fails with a parse error instead of
+// overflowing the recursive parser's stack.
+TEST(JsonParser, CapsNestingDepth) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW(json::parse(nested(json::kMaxDepth)));
+  EXPECT_THROW(json::parse(nested(json::kMaxDepth + 1)), std::runtime_error);
+  EXPECT_THROW(json::parse("{\"a\": " + nested(json::kMaxDepth) + "}"),
+               std::runtime_error);
+  try {
+    json::parse(std::string(100000, '['));
+    FAIL() << "100000 nested arrays parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(JsonParser, DecodesUnicodeEscapes) {
   EXPECT_EQ(json::parse("\"\\u0041z\"").as_string(), "Az");
   EXPECT_EQ(json::parse("\"\\u00e9\"").as_string(), "\xC3\xA9");  // e-acute

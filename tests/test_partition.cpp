@@ -5,10 +5,6 @@
 
 #include "core/polarstar.h"
 #include "partition/partitioner.h"
-#include "partition/shard_assign.h"
-#include "routing/routing.h"
-#include "sim/network.h"
-#include "sim/shard_plan.h"
 #include "topo/dragonfly.h"
 
 namespace part = polarstar::partition;
@@ -105,33 +101,4 @@ TEST(Partition, EmptyAndTinyGraphs) {
   EXPECT_EQ(r0.cut_edges, 0u);
   auto r1 = part::bisect(g::Graph::from_edges(2, {{0, 1}}));
   EXPECT_EQ(r1.cut_edges, 1u);
-}
-
-TEST(Partition, ShardPlanFromPartitionBeatsContiguousOnPsIq) {
-  // The contiguous split balances switch work but cuts the expander-like
-  // PolarStar wiring almost everywhere; the recursive-bisection plan must
-  // keep balance AND cross strictly fewer links on PS-IQ.
-  auto ps = std::make_shared<const polarstar::core::PolarStar>(
-      polarstar::core::PolarStar::build(
-          {5, 3, polarstar::core::SupernodeKind::kInductiveQuad, 2}));
-  const polarstar::sim::Network net(
-      polarstar::core::shared_topology(ps),
-      polarstar::routing::make_polarstar_routing(ps));
-  for (std::uint32_t shards : {2u, 4u}) {
-    const auto contiguous =
-        polarstar::sim::ShardPlan::contiguous(net, shards);
-    const auto cut = part::shard_plan_from_partition(net, shards);
-    ASSERT_EQ(cut.num_shards, shards);
-    // Deterministic: same seed, same plan.
-    const auto again = part::shard_plan_from_partition(net, shards);
-    EXPECT_EQ(cut.shard_of_router, again.shard_of_router);
-    EXPECT_LT(cut.balance(net), 1.15);
-    EXPECT_LT(cut.cross_shard_link_fraction(net),
-              contiguous.cross_shard_link_fraction(net))
-        << "shards=" << shards;
-  }
-  EXPECT_THROW(part::shard_plan_from_partition(net, 3),
-               std::invalid_argument);
-  EXPECT_THROW(part::shard_plan_from_partition(net, 0),
-               std::invalid_argument);
 }

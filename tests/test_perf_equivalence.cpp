@@ -13,6 +13,7 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "collective/edst.h"
@@ -135,6 +136,24 @@ void expect_identical(const telemetry::Summary& a,
   EXPECT_EQ(a.fault.dropped_packets, b.fault.dropped_packets);
   EXPECT_EQ(a.fault.retransmits, b.fault.retransmits);
   EXPECT_EQ(a.fault.lost_packets, b.fault.lost_packets);
+}
+
+// Runs uniform traffic at load 0.2 with a 1-in-16 flight recorder and
+// returns the exported Chrome-trace document.
+std::string trace_bytes(const sim::Network& net, const sim::SimParams& prm,
+                        bool reference) {
+  telemetry::PacketFilter filter;
+  filter.sample_period = 16;
+  telemetry::PacketTraceCollector col(filter);
+  const auto res = run_pattern(net, prm, reference, 0.2, &col);
+  io::PacketTraceGroup group;
+  group.label = "perf-equivalence";
+  group.run_cycles = res.cycles;
+  group.traces = col.take_traces();
+  group.faults = col.take_fault_marks();
+  std::ostringstream os;
+  io::write_chrome_trace(os, {&group, 1});
+  return os.str();
 }
 
 }  // namespace
@@ -262,24 +281,29 @@ TEST(PerfEquivalence, TraceBytes) {
   const auto sched =
       fault::FaultSchedule::random(net->topology(), spec, /*seed=*/9);
   prm.faults = &sched;
-  const auto render = [&](bool reference) {
-    telemetry::PacketFilter filter;
-    filter.sample_period = 16;
-    telemetry::PacketTraceCollector col(filter);
-    const auto res = run_pattern(*net, prm, reference, 0.2, &col);
-    io::PacketTraceGroup group;
-    group.label = "perf-equivalence";
-    group.run_cycles = res.cycles;
-    group.traces = col.take_traces();
-    group.faults = col.take_fault_marks();
-    std::ostringstream os;
-    io::write_chrome_trace(os, {&group, 1});
-    return os.str();
-  };
-  const std::string ref_bytes = render(true);
-  const std::string fast_bytes = render(false);
+  const std::string ref_bytes = trace_bytes(*net, prm, true);
   EXPECT_FALSE(ref_bytes.empty());
-  EXPECT_EQ(ref_bytes, fast_bytes);
+  EXPECT_EQ(ref_bytes, trace_bytes(*net, prm, false));
+}
+
+// The hard case for hook order: live faults + UGAL + flight recorder, with
+// the invariants checked every cycle. Retransmit timing, Valiant detours
+// and fault drops all interleave with the routed/hop/ejected hooks.
+TEST(PerfEquivalence, UgalFaultTraceBytes) {
+  const auto net = polarstar_net({4, 4, core::SupernodeKind::kPaley, 3});
+  auto prm = base_params();
+  prm.path_mode = sim::PathMode::kUgal;
+  prm.num_vcs = 8;  // UGAL/Valiant path length bound
+  fault::ScheduleSpec spec;
+  spec.link_fail_fraction = 0.05;
+  spec.begin_cycle = 300;
+  spec.end_cycle = 301;
+  const auto sched =
+      fault::FaultSchedule::random(net->topology(), spec, /*seed=*/11);
+  prm.faults = &sched;
+  const std::string ref_bytes = trace_bytes(*net, prm, true);
+  EXPECT_NE(ref_bytes.find("\"cat\":\"fault\""), std::string::npos);
+  EXPECT_EQ(ref_bytes, trace_bytes(*net, prm, false));
 }
 
 // Collective engine runs are closed-loop (every send reacts to a prior

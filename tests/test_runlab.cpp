@@ -148,51 +148,6 @@ TEST(Runner, StopsChainAfterSaturation) {
   EXPECT_TRUE(all[0].points[2].ran);
 }
 
-TEST(Runner, WorkerBudgetClampsShardsTimesChains) {
-  // POLARSTAR_THREADS x POLARSTAR_SHARDS share one budget: shards come out
-  // of the thread count instead of multiplying it, so a 16-point sweep at
-  // 4 shards never spawns 16x4 threads.
-  ::setenv("POLARSTAR_SHARDS", "4", 1);
-  {
-    runlab::ExperimentRunner r(8);
-    const auto& b = r.worker_budget();
-    EXPECT_EQ(b.total, 8u);
-    EXPECT_EQ(b.shards, 4u);
-    EXPECT_EQ(b.chains, 2u);
-    EXPECT_EQ(r.num_threads(), 2u);
-  }
-  {
-    // Budget smaller than the shard request: shards clamp to the budget.
-    runlab::ExperimentRunner r(2);
-    EXPECT_EQ(r.worker_budget().shards, 2u);
-    EXPECT_EQ(r.worker_budget().chains, 1u);
-  }
-  ::unsetenv("POLARSTAR_SHARDS");
-  runlab::ExperimentRunner r(4);
-  EXPECT_EQ(r.worker_budget().shards, 1u);
-  EXPECT_EQ(r.worker_budget().chains, 4u);
-
-  // An explicit per-case shard request is clamped to the budget too, and
-  // the sharded sweep still matches the serial one bit for bit.
-  runlab::SweepCase c;
-  c.name = "DF";
-  c.net = small_dragonfly();
-  c.params = short_params();
-  c.params.num_shards = 64;  // clamped to this runner's budget of 4
-  c.loads = {0.1, 0.2};
-  c.stop_after_saturation = false;
-  const auto sharded = r.run("budget", {c});
-  c.params.num_shards = 1;
-  runlab::ExperimentRunner serial(1);
-  const auto plain = serial.run("budget", {c});
-  ASSERT_EQ(sharded[0].points.size(), plain[0].points.size());
-  for (std::size_t j = 0; j < plain[0].points.size(); ++j) {
-    EXPECT_TRUE(same_result(sharded[0].points[j].result,
-                            plain[0].points[j].result))
-        << "load " << plain[0].points[j].load;
-  }
-}
-
 TEST(Runner, SkippedCaseNeverRuns) {
   runlab::SweepCase c;
   c.name = "skipped";

@@ -3,8 +3,8 @@
 // guarantees:
 //
 //  - A trace recorded from one run replays to the *bit-identical*
-//    SimResult, at shards 1/2/4, under faults, and through the runlab
-//    runner at 1 vs 4 threads (JSON bytes modulo wall clock).
+//    SimResult, under faults too, and through the runlab runner at 1 vs 4
+//    threads (JSON bytes modulo wall clock).
 //  - The trace text format round-trips exactly and rejects malformed input.
 //  - Every generator targets the endpoints its scenario promises (victims,
 //    tenant blocks, hot set, collective partners), verified on the recorded
@@ -65,8 +65,8 @@ workload::Context make_ctx(const sim::Network& net, double load,
                            .seed = prm.seed};
 }
 
-// Exact comparison, doubles included: replay (or a shard boundary) must
-// not perturb a single bit of any aggregate.
+// Exact comparison, doubles included: replay must not perturb a single
+// bit of any aggregate.
 void expect_identical(const sim::SimResult& a, const sim::SimResult& b) {
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.packets_delivered, b.packets_delivered);
@@ -102,9 +102,7 @@ std::pair<sim::SimResult, workload::Trace> record_run(
 }
 
 sim::SimResult replay_run(const sim::Network& net, const workload::Trace& t,
-                          double load, sim::SimParams prm,
-                          std::uint32_t shards = 1) {
-  prm.num_shards = shards;
+                          double load, const sim::SimParams& prm) {
   const workload::TraceReplay replay(t);
   auto src = replay.instantiate(make_ctx(net, load, prm));
   sim::Simulation s(net, prm, *src);
@@ -187,9 +185,8 @@ TEST(WorkloadTrace, ReplayValidatesContext) {
 // ---- record -> replay identity --------------------------------------------
 
 // The headline guarantee: a replayed trace reproduces the recorded run's
-// SimResult bit for bit, and stays bit-identical when the *replay* is
-// sharded 2- and 4-ways.
-TEST(WorkloadReplay, ReproducesSimResultAtAnyShardCount) {
+// SimResult bit for bit.
+TEST(WorkloadReplay, ReproducesSimResult) {
   const auto net =
       polarstar_net({5, 3, core::SupernodeKind::kInductiveQuad, 2});
   const auto prm = base_params();
@@ -197,9 +194,7 @@ TEST(WorkloadReplay, ReproducesSimResultAtAnyShardCount) {
   const auto [recorded, trace] = record_run(*net, incast, 0.1, prm);
   EXPECT_GT(trace.events.size(), 0u);
   EXPECT_EQ(trace.num_endpoints, net->topology().num_endpoints());
-  expect_identical(recorded, replay_run(*net, trace, 0.1, prm, 1));
-  expect_identical(recorded, replay_run(*net, trace, 0.1, prm, 2));
-  expect_identical(recorded, replay_run(*net, trace, 0.1, prm, 4));
+  expect_identical(recorded, replay_run(*net, trace, 0.1, prm));
 }
 
 // A trace survives the text format: write -> read -> replay is still
@@ -216,7 +211,7 @@ TEST(WorkloadReplay, SurvivesFileRoundTrip) {
   const workload::Trace back = workload::read_trace_file(path);
   std::remove(path.c_str());
   EXPECT_EQ(back, trace);
-  expect_identical(recorded, replay_run(*net, back, 0.1, prm, 4));
+  expect_identical(recorded, replay_run(*net, back, 0.1, prm));
 }
 
 // The stress scenario end to end: adversarial + incast mix under a live
@@ -243,8 +238,7 @@ TEST(WorkloadReplay, StressMixUnderFaultsReplaysExactly) {
   const auto [recorded, trace] = record_run(*net, *stress, 0.1, prm);
   EXPECT_GT(recorded.fault_events, 0u);
   EXPECT_GT(trace.events.size(), 0u);
-  expect_identical(recorded, replay_run(*net, trace, 0.1, prm, 1));
-  expect_identical(recorded, replay_run(*net, trace, 0.1, prm, 4));
+  expect_identical(recorded, replay_run(*net, trace, 0.1, prm));
 }
 
 // ---- generator shapes -----------------------------------------------------

@@ -267,9 +267,8 @@ std::size_t check_document(const json::Value& doc) {
         throw std::runtime_error("profile not an object");
       }
       for (const char* k :
-           {"points", "cycles", "driver_wait_seconds", "point_wall_seconds",
-            "chain_wall_seconds", "run_wall_seconds", "workers", "chains",
-            "shards", "worker_utilization"}) {
+           {"points", "cycles", "point_wall_seconds", "chain_wall_seconds",
+            "run_wall_seconds", "workers", "worker_utilization"}) {
         if (require(*prof, k, json::Value::Kind::kNumber).as_number() < 0.0) {
           throw std::runtime_error(std::string("negative profile \"") + k +
                                    "\"");
@@ -283,13 +282,6 @@ std::size_t check_document(const json::Value& doc) {
             0.0) {
           throw std::runtime_error(std::string("negative profile phase \"") +
                                    k + "\"");
-        }
-      }
-      const auto& shard_task =
-          require(*prof, "shard_task_seconds", json::Value::Kind::kArray);
-      for (const json::Value& s : shard_task.as_array()) {
-        if (!s.is_number() || s.as_number() < 0.0) {
-          throw std::runtime_error("bad profile shard_task_seconds entry");
         }
       }
     }
@@ -398,10 +390,8 @@ constexpr const char* kSelftestDocV6 = R"({
 "profile": {"points": 1, "cycles": 2500,
   "phases": {"fault": 0.0, "deliver": 0.01, "inject": 0.002,
              "route": 0.03, "barrier": 0.004, "telemetry": 0.001},
-  "driver_wait_seconds": 0.002, "shard_task_seconds": [0.02, 0.019],
   "point_wall_seconds": 0.3, "chain_wall_seconds": 0.3,
-  "run_wall_seconds": 0.31,
-  "workers": 4, "chains": 2, "shards": 2, "worker_utilization": 0.48}
+  "run_wall_seconds": 0.31, "workers": 4, "worker_utilization": 0.24}
 })";
 
 // A schema-7 collective point: "pattern" carries the collective workload
