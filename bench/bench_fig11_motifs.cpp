@@ -7,6 +7,7 @@
 // is expressed in packets (64 B flits, 4-flit packets -> 256 B/packet);
 // default 16 packets (4 KiB) at reduced scale, 64 packets with
 // POLARSTAR_FULL=1.
+#include <bit>
 #include <cstdio>
 
 #include "bench_common.h"
@@ -50,7 +51,7 @@ int main() {
     min_eps = std::min(min_eps, nt.topology().num_endpoints());
   }
   const std::uint32_t ranks =
-      motif::pow2_floor(static_cast<std::uint32_t>(min_eps));
+      std::bit_floor(static_cast<std::uint32_t>(min_eps));
 
   std::printf("Figure 11: motifs, %u ranks, %u packets/message, %u iters\n",
               ranks, ppm, iters);

@@ -4,6 +4,7 @@
 //
 //   ./example_collectives [ranks] [packets_per_message]
 //     ranks defaults to 256 (must be <= endpoints of the small configs).
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -47,7 +48,7 @@ int main(int argc, char** argv) {
       topo::dragonfly::build({7, 3, 3}));
   auto df_route = routing::make_table_routing(df->g);
 
-  const std::uint32_t ranks = motif::pow2_floor(
+  const std::uint32_t ranks = std::bit_floor(
       std::min<std::uint32_t>(want_ranks,
                               static_cast<std::uint32_t>(std::min(
                                   ps->topology().num_endpoints(),

@@ -1,6 +1,7 @@
 #include "collective/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -16,13 +17,9 @@ namespace {
 enum Kind : std::uint64_t {
   kTreeDown = 1,
   kTreeUp = 2,
-  kBinDown = 3,
-  kBinUp = 4,
-  kRdFold = 5,
-  kRdExchange = 6,
-  kRdUnfold = 7,
-  kRingFwd = 8,
-  kRingUp = 9,
+  kRdFold = 3,
+  kRdExchange = 4,
+  kRdUnfold = 5,
 };
 
 constexpr std::uint64_t kTagFlag = 1ull << 63;
@@ -41,10 +38,28 @@ std::uint32_t tag_chunk(std::uint64_t tag) {
   return static_cast<std::uint32_t>((tag >> 24) & 0xFFFFFFFFu);
 }
 
-std::uint32_t pow2_floor(std::uint32_t v) {
-  std::uint32_t p = 1;
-  while (p * 2 <= v) p *= 2;
-  return p;
+// The binomial and ring schedules as one tree over the ranks in
+// virtual-rank order vr = (rank - root) mod R. Binomial: parent(vr) = vr
+// minus its top set bit, so children(vr) = vr + b for powers of two b > vr,
+// ascending. Ring: the path vr -> vr + 1. Indexed by router id like the
+// EDSTs; switch-only routers stay isolated. The walk reads only parent and
+// children, so depth and max_fanout stay 0.
+RootedTree unicast_tree(Algorithm a, const std::vector<Vertex>& ranks,
+                        std::uint32_t root, Vertex n) {
+  const auto R = static_cast<std::uint32_t>(ranks.size());
+  const auto router = [&](std::uint32_t vr) { return ranks[(vr + root) % R]; };
+  RootedTree t;
+  t.root = router(0);
+  t.parent.assign(n, n);
+  t.children.assign(n, {});
+  t.parent[t.root] = t.root;
+  for (std::uint32_t vr = 1; vr < R; ++vr) {
+    const std::uint32_t up =
+        a == Algorithm::kRing ? vr - 1 : vr - std::bit_floor(vr);
+    t.parent[router(vr)] = router(up);
+    t.children[router(up)].push_back(router(vr));
+  }
+  return t;
 }
 
 }  // namespace
@@ -89,45 +104,42 @@ CollectiveEngine::CollectiveEngine(const topo::Topology& topo,
   if (spec_.root >= R) {
     throw std::invalid_argument("CollectiveEngine: root rank out of range");
   }
-  if (spec_.algorithm == Algorithm::kEdst) {
-    if (edsts_ == nullptr || edsts_->trees.empty()) {
-      throw std::invalid_argument("CollectiveEngine: kEdst needs trees");
-    }
-    if (R != n) {
-      throw std::invalid_argument(
-          "CollectiveEngine: kEdst needs endpoints on every router");
-    }
-    const Vertex root_router = ranks_[spec_.root];
-    trees_.reserve(edsts_->trees.size());
-    for (const auto& t : edsts_->trees) {
-      trees_.push_back(root_tree(t, n, root_router));
-    }
-  }
-  if (spec_.algorithm == Algorithm::kRecursiveDoubling &&
-      spec_.op != Op::kAllreduce) {
-    throw std::invalid_argument(
-        "CollectiveEngine: recursive doubling is allreduce-only");
-  }
-
-  const std::uint64_t per_phase =
-      static_cast<std::uint64_t>(chunks_) * (R - 1);
   switch (spec_.algorithm) {
-    case Algorithm::kEdst:
+    case Algorithm::kEdst: {
+      if (edsts_ == nullptr || edsts_->trees.empty()) {
+        throw std::invalid_argument("CollectiveEngine: kEdst needs trees");
+      }
+      if (R != n) {
+        throw std::invalid_argument(
+            "CollectiveEngine: kEdst needs endpoints on every router");
+      }
+      const Vertex root_router = ranks_[spec_.root];
+      trees_.reserve(edsts_->trees.size());
+      for (const auto& t : edsts_->trees) {
+        trees_.push_back(root_tree(t, n, root_router));
+      }
+      break;
+    }
     case Algorithm::kBinomial:
     case Algorithm::kRing:
-      expected_ = spec_.op == Op::kAllreduce ? 2 * per_phase : per_phase;
+      trees_.push_back(unicast_tree(spec_.algorithm, ranks_, spec_.root, n));
       break;
-    case Algorithm::kRecursiveDoubling: {
-      rd_p2_ = pow2_floor(R);
+    case Algorithm::kRecursiveDoubling:
+      if (spec_.op != Op::kAllreduce) {
+        throw std::invalid_argument(
+            "CollectiveEngine: recursive doubling is allreduce-only");
+      }
+      rd_p2_ = std::bit_floor(R);
       rd_rem_ = R - rd_p2_;
-      rd_rounds_ = 0;
-      for (std::uint32_t p = rd_p2_; p > 1; p /= 2) ++rd_rounds_;
+      rd_rounds_ = static_cast<std::uint32_t>(std::countr_zero(rd_p2_));
       expected_ = static_cast<std::uint64_t>(chunks_) *
                   (2ull * rd_rem_ +
                    static_cast<std::uint64_t>(rd_p2_) * rd_rounds_);
-      break;
-    }
+      return;
   }
+  const std::uint64_t per_phase =
+      static_cast<std::uint64_t>(chunks_) * (R - 1);
+  expected_ = spec_.op == Op::kAllreduce ? 2 * per_phase : per_phase;
 }
 
 void CollectiveEngine::pend(Vertex from_router, Vertex to_router,
@@ -159,11 +171,10 @@ void CollectiveEngine::start(sim::Simulation& sim) {
     done_cycle_ = sim.cycle();
     return;
   }
-  switch (spec_.algorithm) {
-    case Algorithm::kEdst: edst_start(); break;
-    case Algorithm::kBinomial: binomial_start(); break;
-    case Algorithm::kRecursiveDoubling: rd_start(); break;
-    case Algorithm::kRing: ring_start(); break;
+  if (spec_.algorithm == Algorithm::kRecursiveDoubling) {
+    rd_start();
+  } else {
+    tree_start();
   }
 }
 
@@ -174,20 +185,12 @@ void CollectiveEngine::on_delivered(sim::Simulation& sim,
   switch (tag_kind(pkt.tag)) {
     case kTreeDown:
     case kTreeUp:
-      edst_on(sim, pkt.tag, pkt.dst_router);
-      break;
-    case kBinDown:
-    case kBinUp:
-      binomial_on(sim, pkt.tag, pkt.dst_router);
+      tree_on(sim, pkt.tag, pkt.dst_router);
       break;
     case kRdFold:
     case kRdExchange:
     case kRdUnfold:
       rd_on(sim, pkt.tag, pkt.dst_router);
-      break;
-    case kRingFwd:
-    case kRingUp:
-      ring_on(sim, pkt.tag, pkt.dst_router);
       break;
   }
 }
@@ -197,13 +200,30 @@ bool CollectiveEngine::finished(const sim::Simulation& sim) const {
   return started_ && deliveries_ == expected_ && pending_.empty();
 }
 
-// ---------------------------------------------------------------- edst --
+// ---------------------------------------------------------------- tree --
+// EDST, binomial and ring: chunk c travels on tree c mod k (k = 1 for the
+// unicast trees). Both phases are chunk-pipelined: a chunk moves on as
+// soon as it is received (down) or fully combined (up).
 
-void CollectiveEngine::edst_start() {
+void CollectiveEngine::tree_start() {
   const Vertex n = topo_->num_routers();
   const Vertex root = ranks_[spec_.root];
   const auto k = static_cast<std::uint32_t>(trees_.size());
   if (spec_.op == Op::kBroadcast) {
+    if (spec_.algorithm == Algorithm::kBinomial) {
+      // The binomial root sends child by child (vr 1, 2, 4, ...): each
+      // child gets every chunk before the next one starts. That is the
+      // baseline the goldens pin; dealing chunk by chunk instead moves the
+      // reduced PS-IQ broadcast from 76/258/1026 to 80/272/1040 cycles at
+      // 2/8/32 chunks. EDST deals chunk by chunk so all k trees start at
+      // once.
+      for (Vertex child : trees_[0].children[root]) {
+        for (std::uint32_t c = 0; c < chunks_; ++c) {
+          pend(root, child, make_tag(kTreeDown, 0, c));
+        }
+      }
+      return;
+    }
     for (std::uint32_t c = 0; c < chunks_; ++c) {
       const std::uint32_t m = c % k;
       for (Vertex child : trees_[m].children[root]) {
@@ -217,7 +237,7 @@ void CollectiveEngine::edst_start() {
   tree_need_.assign(static_cast<std::size_t>(chunks_) * n, 0);
   for (std::uint32_t c = 0; c < chunks_; ++c) {
     const std::uint32_t m = c % k;
-    for (Vertex v = 0; v < n; ++v) {
+    for (Vertex v : ranks_) {
       const auto need =
           static_cast<std::uint32_t>(trees_[m].children[v].size());
       tree_need_[static_cast<std::size_t>(c) * n + v] = need;
@@ -228,7 +248,7 @@ void CollectiveEngine::edst_start() {
   }
 }
 
-void CollectiveEngine::edst_on(sim::Simulation& sim, std::uint64_t tag,
+void CollectiveEngine::tree_on(sim::Simulation& sim, std::uint64_t tag,
                                Vertex at_router) {
   const std::uint32_t c = tag_chunk(tag);
   const std::uint32_t m = tag_meta(tag);
@@ -251,75 +271,6 @@ void CollectiveEngine::edst_on(sim::Simulation& sim, std::uint64_t tag,
   if (spec_.op == Op::kAllreduce) {
     for (Vertex child : trees_[m].children[root]) {
       pend(root, child, make_tag(kTreeDown, m, c));
-    }
-  }
-}
-
-// ------------------------------------------------------------ binomial --
-// Virtual ranks vr = (rank - root) mod R; parent(vr) = vr minus its top
-// set bit, children(vr) = { vr + b : b a power of two, b > vr, vr+b < R }.
-// Both phases are chunk-pipelined: a chunk moves on as soon as it is
-// received (down) or fully combined (up).
-
-void CollectiveEngine::binomial_start() {
-  const auto R = num_ranks();
-  const auto vrank = [&](std::uint32_t rank) { return (rank + R - spec_.root) % R; };
-  const auto rank_of = [&](std::uint32_t vr) { return (vr + spec_.root) % R; };
-  if (spec_.op == Op::kBroadcast) {
-    for (std::uint32_t b = 1; b < R; b *= 2) {
-      for (std::uint32_t c = 0; c < chunks_; ++c) {
-        pend(ranks_[spec_.root], ranks_[rank_of(b)], make_tag(kBinDown, 0, c));
-      }
-    }
-    return;
-  }
-  bin_up_recv_.assign(static_cast<std::size_t>(R) * chunks_, 0);
-  for (std::uint32_t rank = 0; rank < R; ++rank) {
-    const std::uint32_t vr = vrank(rank);
-    if (vr == 0) continue;
-    bool leaf = true;
-    for (std::uint32_t b = 1; b < R; b *= 2) {
-      if (b > vr && vr + b < R) { leaf = false; break; }
-    }
-    if (leaf) {
-      const std::uint32_t up = rank_of(vr - pow2_floor(vr));
-      for (std::uint32_t c = 0; c < chunks_; ++c) {
-        pend(ranks_[rank], ranks_[up], make_tag(kBinUp, 0, c));
-      }
-    }
-  }
-}
-
-void CollectiveEngine::binomial_on(sim::Simulation& sim, std::uint64_t tag,
-                                   Vertex at_router) {
-  const auto R = num_ranks();
-  const std::uint32_t rank = rank_of_router_[at_router];
-  const std::uint32_t vr = (rank + R - spec_.root) % R;
-  const auto rank_of = [&](std::uint32_t v) { return (v + spec_.root) % R; };
-  const std::uint32_t c = tag_chunk(tag);
-  if (tag_kind(tag) == kBinDown) {
-    for (std::uint32_t b = 1; b < R; b *= 2) {
-      if (b > vr && vr + b < R) {
-        pend(at_router, ranks_[rank_of(vr + b)], tag);
-      }
-    }
-    return;
-  }
-  std::uint32_t children = 0;
-  for (std::uint32_t b = 1; b < R; b *= 2) {
-    if (b > vr && vr + b < R) ++children;
-  }
-  auto& recv = bin_up_recv_[static_cast<std::size_t>(rank) * chunks_ + c];
-  if (++recv != children) return;
-  if (vr != 0) {
-    pend(at_router, ranks_[rank_of(vr - pow2_floor(vr))],
-         make_tag(kBinUp, 0, c));
-    return;
-  }
-  if (++root_chunks_done_ == chunks_) reduce_done_cycle_ = sim.cycle();
-  if (spec_.op == Op::kAllreduce) {
-    for (std::uint32_t b = 1; b < R; b *= 2) {
-      pend(at_router, ranks_[rank_of(b)], make_tag(kBinDown, 0, c));
     }
   }
 }
@@ -407,47 +358,6 @@ void CollectiveEngine::rd_on(sim::Simulation& sim, std::uint64_t tag,
     }
     default:  // kRdUnfold terminates at the extra rank
       break;
-  }
-}
-
-// ---------------------------------------------------------------- ring --
-// Chunk-pipelined ring over virtual-rank order. Broadcast flows forward
-// from vr 0; reduction flows from vr R-1 down to the root, combining at
-// every stop; allreduce rebroadcasts each chunk the moment it is rooted.
-
-void CollectiveEngine::ring_start() {
-  const auto R = num_ranks();
-  const auto rank_of = [&](std::uint32_t vr) { return (vr + spec_.root) % R; };
-  if (spec_.op == Op::kBroadcast) {
-    for (std::uint32_t c = 0; c < chunks_; ++c) {
-      pend(ranks_[spec_.root], ranks_[rank_of(1)], make_tag(kRingFwd, 0, c));
-    }
-    return;
-  }
-  for (std::uint32_t c = 0; c < chunks_; ++c) {
-    pend(ranks_[rank_of(R - 1)], ranks_[rank_of(R - 2)],
-         make_tag(kRingUp, 0, c));
-  }
-}
-
-void CollectiveEngine::ring_on(sim::Simulation& sim, std::uint64_t tag,
-                               Vertex at_router) {
-  const auto R = num_ranks();
-  const std::uint32_t rank = rank_of_router_[at_router];
-  const std::uint32_t vr = (rank + R - spec_.root) % R;
-  const auto rank_of = [&](std::uint32_t v) { return (v + spec_.root) % R; };
-  const std::uint32_t c = tag_chunk(tag);
-  if (tag_kind(tag) == kRingFwd) {
-    if (vr + 1 < R) pend(at_router, ranks_[rank_of(vr + 1)], tag);
-    return;
-  }
-  if (vr > 0) {
-    pend(at_router, ranks_[rank_of(vr - 1)], tag);
-    return;
-  }
-  if (++root_chunks_done_ == chunks_) reduce_done_cycle_ = sim.cycle();
-  if (spec_.op == Op::kAllreduce && R > 1) {
-    pend(at_router, ranks_[rank_of(1)], make_tag(kRingFwd, 0, c));
   }
 }
 

@@ -18,9 +18,11 @@
 //
 // EDST scheduling: chunk c travels on tree (c mod k), so the k disjoint
 // trees carry k chunks concurrently on disjoint link sets -- the
-// bandwidth-optimality argument of arXiv 2403.12231. The unicast
-// algorithms move every chunk over point-to-point routes (MIN or UGAL,
-// whatever the SimParams say) with the usual MPI-style schedules.
+// bandwidth-optimality argument of arXiv 2403.12231. Binomial and ring
+// are MPI-style schedules over one rank-level tree (binomial tree, or the
+// path in rank order), walked by the same code as the EDSTs, but each tree
+// edge is a point-to-point route (MIN or UGAL, whatever the SimParams say)
+// rather than a link. Recursive doubling is the one non-tree schedule.
 //
 // Determinism: the engine never touches the simulator RNG; all schedules
 // are pure functions of (topology, spec, chunks). Closed-loop sources are
@@ -74,8 +76,12 @@ class CollectiveEngine final : public sim::TrafficSource {
   std::uint32_t num_ranks() const {
     return static_cast<std::uint32_t>(ranks_.size());
   }
+  /// EDSTs in use; 0 for the unicast algorithms, whose single schedule
+  /// tree is an implementation detail.
   std::uint32_t num_trees() const {
-    return static_cast<std::uint32_t>(trees_.size());
+    return spec_.algorithm == Algorithm::kEdst
+               ? static_cast<std::uint32_t>(trees_.size())
+               : 0;
   }
   std::uint64_t expected_deliveries() const { return expected_; }
   std::uint64_t deliveries() const { return deliveries_; }
@@ -95,27 +101,24 @@ class CollectiveEngine final : public sim::TrafficSource {
             std::uint64_t tag);
   void note_delivery(sim::Simulation& sim);
 
-  // -- per-algorithm schedules (rank-space helpers in engine.cpp) --
-  void edst_start();
-  void edst_on(sim::Simulation& sim, std::uint64_t tag,
+  // -- schedules: one tree walk (edst / binomial / ring), and recursive
+  // doubling, which is not a tree --
+  void tree_start();
+  void tree_on(sim::Simulation& sim, std::uint64_t tag,
                graph::Vertex at_router);
-  void binomial_start();
-  void binomial_on(sim::Simulation& sim, std::uint64_t tag,
-                   graph::Vertex at_router);
   void rd_start();
   void rd_on(sim::Simulation& sim, std::uint64_t tag, graph::Vertex at_router);
   void rd_enter(std::uint32_t rank);
   void rd_advance(std::uint32_t rank);
   void rd_finish(std::uint32_t rank);
-  void ring_start();
-  void ring_on(sim::Simulation& sim, std::uint64_t tag,
-               graph::Vertex at_router);
 
   const topo::Topology* topo_;
   CollectiveSpec spec_;
   std::uint32_t chunks_;
   std::shared_ptr<const EdstSet> edsts_;  // keeps the tree storage alive
-  std::vector<RootedTree> trees_;         // rooted at the root rank's router
+  // Rooted at the root rank's router: the EDSTs, or the one binomial/ring
+  // schedule tree.
+  std::vector<RootedTree> trees_;
 
   std::vector<graph::Vertex> ranks_;          // rank -> router
   std::vector<std::uint32_t> rank_of_router_;  // router -> rank (or invalid)
@@ -129,12 +132,10 @@ class CollectiveEngine final : public sim::TrafficSource {
   std::uint64_t reduce_done_cycle_ = 0;
   std::uint64_t start_cycle_ = 0;
 
-  // edst reduce: outstanding child contributions per (chunk, router);
-  // shared root-side chunk counter (edst / binomial / ring reductions).
+  // tree reduce: outstanding child contributions per (chunk, router), and
+  // the chunks fully combined at the root.
   std::vector<std::uint32_t> tree_need_;
   std::uint32_t root_chunks_done_ = 0;
-  // binomial reduce: received contributions per (rank, chunk).
-  std::vector<std::uint32_t> bin_up_recv_;
   // recursive doubling.
   std::uint32_t rd_p2_ = 0, rd_rem_ = 0, rd_rounds_ = 0;
   std::vector<std::uint32_t> rd_round_;      // next round awaited (per rank)

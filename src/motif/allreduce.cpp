@@ -4,65 +4,12 @@
 
 namespace polarstar::motif {
 
-std::uint32_t pow2_floor(std::uint32_t n) {
-  std::uint32_t p = 1;
-  while (p * 2 <= n && p * 2 != 0) p *= 2;
-  return p;
-}
-
 StepProgram make_allreduce(std::uint32_t ranks,
                            std::uint32_t packets_per_message,
                            std::uint32_t iterations,
                            AllreduceAlgorithm algorithm) {
   if (ranks < 2) throw std::invalid_argument("allreduce: need >= 2 ranks");
   StepProgram prog(ranks, packets_per_message);
-  if (algorithm == AllreduceAlgorithm::kBinomialTree) {
-    if ((ranks & (ranks - 1)) != 0) {
-      throw std::invalid_argument(
-          "binomial tree allreduce: ranks must be a power of two");
-    }
-    std::uint32_t rounds = 0;
-    for (std::uint32_t m = 1; m < ranks; m *= 2) ++rounds;
-    for (std::uint32_t r = 0; r < ranks; ++r) {
-      std::vector<StepProgram::Step> steps;
-      steps.reserve(2ull * rounds * iterations);
-      for (std::uint32_t it = 0; it < iterations; ++it) {
-        // Reduce toward rank 0: in round k, ranks with bit k set and lower
-        // bits clear send to r - 2^k; partners receive.
-        for (std::uint32_t k = 0; k < rounds; ++k) {
-          StepProgram::Step step;
-          step.send_after_recv = true;  // must fold children in first
-          const std::uint32_t bit = 1u << k;
-          const std::uint32_t low_mask = bit - 1;
-          if ((r & low_mask) == 0) {
-            if (r & bit) {
-              step.send_to.push_back(r - bit);
-            } else if ((r | bit) < ranks) {
-              step.recv_messages = 1;
-            }
-          }
-          steps.push_back(std::move(step));
-        }
-        // Broadcast back down: reverse order.
-        for (std::uint32_t k = rounds; k-- > 0;) {
-          StepProgram::Step step;
-          step.send_after_recv = true;
-          const std::uint32_t bit = 1u << k;
-          const std::uint32_t low_mask = bit - 1;
-          if ((r & low_mask) == 0) {
-            if (r & bit) {
-              step.recv_messages = 1;
-            } else if ((r | bit) < ranks) {
-              step.send_to.push_back(r | bit);
-            }
-          }
-          steps.push_back(std::move(step));
-        }
-      }
-      prog.set_program(r, std::move(steps));
-    }
-    return prog;
-  }
   if (algorithm == AllreduceAlgorithm::kRecursiveDoubling) {
     if ((ranks & (ranks - 1)) != 0) {
       throw std::invalid_argument(

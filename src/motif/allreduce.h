@@ -1,5 +1,7 @@
 // Allreduce motifs (Fig 11a): recursive doubling (the Ember default for
 // power-of-two communicators) and ring allreduce (ablation alternative).
+// Tree allreduces (binomial, EDST) live in the collective engine
+// (collective/engine.h).
 //
 // Recursive doubling: log2(R) exchange rounds per iteration; in round k
 // rank r exchanges a full-size message with r XOR 2^k.
@@ -13,13 +15,7 @@
 
 namespace polarstar::motif {
 
-enum class AllreduceAlgorithm {
-  kRecursiveDoubling,
-  kRing,
-  /// Binomial-tree reduce followed by binomial-tree broadcast:
-  /// 2*log2(R) sequential phases, each rank active in one step per phase.
-  kBinomialTree,
-};
+enum class AllreduceAlgorithm { kRecursiveDoubling, kRing };
 
 /// Builds the allreduce program over `ranks` ranks (must be a power of two
 /// for recursive doubling; any >= 2 for ring).
@@ -27,8 +23,5 @@ StepProgram make_allreduce(std::uint32_t ranks,
                            std::uint32_t packets_per_message,
                            std::uint32_t iterations,
                            AllreduceAlgorithm algorithm);
-
-/// Largest power of two <= n (helper for sizing communicators).
-std::uint32_t pow2_floor(std::uint32_t n);
 
 }  // namespace polarstar::motif

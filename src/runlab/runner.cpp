@@ -519,19 +519,14 @@ void ExperimentRunner::flush_json() {
   std::ofstream os(json_path_, std::ios::trunc);
   if (!os) return;  // unwritable path: drop telemetry, never fail the run
   // Schema 7: top-level object {"schema": 7, "points": [...], optional
-  // "profile": {...}}. Over schema 6 a closed-loop collective point
-  // carries the "collective" object (op / algorithm / ranks / trees /
-  // chunks / packet+delivery counts / reduce_done_cycle /
-  // completion_cycle, verbatim from SourceReport). Schema 6 added the
-  // "timeseries" telemetry block (interval records from the
-  // TimeSeriesCollector) and the top-level "profile" engine-attribution
-  // block. Schema 5 added the per-point "workload" object ({"name",
-  // optional "detail"}; the "pattern" field holds the workload name);
-  // schema 4 added the per-point "fault" object (events / dropped /
-  // retransmits / lost / measured_lost / delivered_fraction) and the
-  // "fault" telemetry counter block; schema 3 added p50/p99.9 latency
-  // percentiles plus the "latency" and "trace" telemetry blocks; schema 1
-  // was the bare points array without telemetry. See EXPERIMENTS.md.
+  // "profile": {...}} (engine attribution). Each point carries p50/p99/
+  // p99.9 latency columns and optionally a "telemetry" object (link /
+  // stall / ugal / occupancy / latency / trace / fault / timeseries
+  // blocks), a "workload" object ({"name", optional "detail"}; the
+  // "pattern" field holds the workload name), a "fault" object (events /
+  // dropped / retransmits / lost / measured_lost / delivered_fraction) and,
+  // for a closed-loop collective, a "collective" object (verbatim from
+  // SourceReport). tools/check_json_schema validates it.
   os << "{\n\"schema\": 7,\n\"points\": [\n";
   for (std::size_t i = 0; i < records_.size(); ++i) {
     const auto& r = records_[i];

@@ -78,7 +78,7 @@ struct SweepCase {
   telemetry::PacketFilter trace;
   /// Time-series metrics interval (cycles) for every point of this case:
   /// a telemetry::TimeSeriesCollector rides along and its interval records
-  /// land in SimResult::telemetry ("timeseries" JSON block, schema 6+,
+  /// land in SimResult::telemetry ("timeseries" JSON block,
   /// Perfetto counter tracks). 0 = the runner's POLARSTAR_METRICS_INTERVAL
   /// default (itself 0 = off).
   std::uint32_t metrics_interval = 0;

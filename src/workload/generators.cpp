@@ -1,6 +1,7 @@
 #include "workload/generators.h"
 
 #include <algorithm>
+#include <bit>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -259,11 +260,8 @@ class CollectiveSource final : public BernoulliSource {
                    double load, std::uint32_t packet_flits,
                    std::uint64_t seed)
       : BernoulliSource(topo, load, packet_flits, seed), cfg_(cfg) {
-    const std::uint64_t eps = topo.num_endpoints();
-    ranks_ = 1;
-    while (ranks_ * 2 <= eps) ranks_ *= 2;
-    log_ranks_ = 0;
-    while ((1ull << log_ranks_) < ranks_) ++log_ranks_;
+    ranks_ = std::bit_floor(topo.num_endpoints());
+    log_ranks_ = static_cast<std::uint64_t>(std::countr_zero(ranks_));
   }
 
  private:

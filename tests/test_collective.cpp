@@ -27,6 +27,7 @@
 #include "runlab/runner.h"
 #include "sim/network.h"
 #include "sim/simulation.h"
+#include "topo/fattree.h"
 
 namespace analysis = polarstar::analysis;
 namespace collective = polarstar::collective;
@@ -269,6 +270,47 @@ TEST(CollectiveEngine, UnicastAlgorithmsComplete) {
   EXPECT_EQ(got, want);
 }
 
+TEST(CollectiveEngine, UnicastSchedulesPinnedAtRootTwo) {
+  // The goldens run root 0 and only broadcast/allreduce; this pins every
+  // binomial and ring op at root 2 (3 chunks). The fat tree's switch-only
+  // routers make rank ids differ from router ids (R = 9 leaves of 27).
+  auto ps = make_instance({4, 3, core::SupernodeKind::kInductiveQuad, 1});
+  auto ft_topo = std::make_shared<const polarstar::topo::Topology>(
+      polarstar::topo::fattree::build({3}));
+  const sim::Network ft(ft_topo, routing::make_table_routing(ft_topo->g));
+  struct Pin {
+    const sim::Network* net;
+    Algorithm alg;
+    Op op;
+    std::uint64_t completion, reduce_done;
+  };
+  const Pin pins[] = {
+      {ps.net.get(), Algorithm::kBinomial, Op::kBroadcast, 103, 0},
+      {ps.net.get(), Algorithm::kBinomial, Op::kReduce, 97, 97},
+      {ps.net.get(), Algorithm::kBinomial, Op::kAllreduce, 198, 97},
+      {ps.net.get(), Algorithm::kRing, Op::kBroadcast, 960, 0},
+      {ps.net.get(), Algorithm::kRing, Op::kReduce, 956, 956},
+      {ps.net.get(), Algorithm::kRing, Op::kAllreduce, 1909, 956},
+      {&ft, Algorithm::kBinomial, Op::kBroadcast, 49, 0},
+      {&ft, Algorithm::kBinomial, Op::kReduce, 49, 49},
+      {&ft, Algorithm::kBinomial, Op::kAllreduce, 91, 49},
+      {&ft, Algorithm::kRing, Op::kBroadcast, 61, 0},
+      {&ft, Algorithm::kRing, Op::kReduce, 61, 61},
+      {&ft, Algorithm::kRing, Op::kAllreduce, 115, 61},
+  };
+  for (const auto& p : pins) {
+    CollectiveEngine eng(p.net->topology(), {p.op, p.alg, 2}, 3);
+    sim::Simulation s(*p.net, app_params(), eng);
+    s.run_app(kCap);
+    const std::string where = std::to_string(p.net->topology().num_routers()) +
+                              " routers " + collective::to_string(p.alg) +
+                              "/" + collective::to_string(p.op);
+    EXPECT_EQ(eng.completion_cycle(), p.completion) << where;
+    EXPECT_EQ(eng.reduce_done_cycle(), p.reduce_done) << where;
+    EXPECT_EQ(eng.deliveries(), eng.expected_deliveries()) << where;
+  }
+}
+
 TEST(CollectiveEngine, InvalidSpecsThrow) {
   auto inst = make_instance({3, 3, core::SupernodeKind::kInductiveQuad, 1});
   const auto& topo = inst.net->topology();
@@ -296,7 +338,7 @@ TEST(CollectiveEngine, InvalidSpecsThrow) {
 
 TEST(CollectiveEngine, BitIdenticalVsReference) {
   auto inst = make_instance({4, 3, core::SupernodeKind::kInductiveQuad, 1});
-  for (auto alg : {Algorithm::kEdst, Algorithm::kBinomial}) {
+  for (auto alg : {Algorithm::kEdst, Algorithm::kBinomial, Algorithm::kRing}) {
     const CollectiveSpec spec{Op::kAllreduce, alg, 0};
     auto prm = app_params();
     const auto base = run_engine(inst, spec, 4, prm);

@@ -1,4 +1,4 @@
-// Offline report over a schema-6+ POLARSTAR_JSON file: the time axis.
+// Offline report over a schema-7 POLARSTAR_JSON file: the time axis.
 //
 //   metrics_report <polarstar.json> [...]   print interval tables
 //   metrics_report --selftest               run against a built-in example
@@ -141,7 +141,7 @@ void print_profile(const json::Value& prof) {
 /// Returns the number of points with a timeseries block.
 std::size_t report(const std::string& label, const json::Value& doc) {
   if (!doc.is_object()) {
-    throw std::runtime_error("document is not an object (schema >= 2 needed)");
+    throw std::runtime_error("document is not a schema 7 object");
   }
   const double schema = num(doc, "schema");
   const auto& points = require(doc, "points").as_array();
@@ -162,7 +162,7 @@ std::size_t report(const std::string& label, const json::Value& doc) {
 }
 
 constexpr const char* kSelftestDoc = R"({
-"schema": 6,
+"schema": 7,
 "points": [
   {"sweep": "drain", "case": "PS-IQ hotspot", "pattern": "hotspot",
    "mode": "min-adaptive", "load": 0.2,
