@@ -55,6 +55,14 @@ class MinimalRouting {
   /// storage comparison).
   virtual std::size_t storage_entries() const = 0;
 
+  /// True iff next_hops(cur, dst) is exactly every graph neighbor w of cur
+  /// with distance(w, dst) + 1 == distance(cur, dst), in ascending vertex
+  /// order (graph::MinimalNextHops's definition). sim::Network then derives
+  /// its route-port tables from the distance matrix alone. Schemes that
+  /// restrict or filter the minimal neighbors (hierarchical Dragonfly,
+  /// fault masking) keep the default.
+  virtual bool next_hops_are_distance_minimal() const { return false; }
+
   virtual std::string name() const = 0;
 };
 
@@ -79,6 +87,7 @@ class TableRouting final : public MinimalRouting {
   std::size_t storage_entries() const override {
     return hops_.storage_entries();
   }
+  bool next_hops_are_distance_minimal() const override { return true; }
   std::string name() const override { return "table-min"; }
 
  private:
@@ -104,6 +113,7 @@ class PolarStarAnalyticRouting final : public MinimalRouting {
   std::size_t storage_entries() const override {
     return impl_.storage_entries();
   }
+  bool next_hops_are_distance_minimal() const override { return true; }
   std::string name() const override { return "polarstar-analytic"; }
 
   const std::shared_ptr<const core::PolarStar>& polarstar() const {

@@ -9,7 +9,13 @@
 // storage the paper compares is reported by
 // MinimalRouting::storage_entries(), not by this cache. Every flattened
 // answer is bit-identical to the wrapped MinimalRouting's (the `perf`
-// ctest label asserts it).
+// ctest label asserts it). The distance matrix takes one distance() call
+// per pair. When the routing declares next_hops_are_distance_minimal(),
+// the route ports are derived from that matrix (port p of s is a candidate
+// toward d iff dist(neighbor_at(s, p), d) + 1 == dist(s, d)); any other
+// routing is asked for next_hops() pair by pair. Construction throws
+// std::length_error when a degree or table outgrows its uint16 / uint32
+// storage.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +48,9 @@ inline std::uint64_t flow_path_hash(graph::Vertex src_router,
 /// state), which is what runlab::ExperimentRunner relies on.
 class Network {
  public:
-  /// Both pointers must be non-null (throws std::invalid_argument).
+  /// Both pointers must be non-null, and a routing that declares
+  /// next_hops_are_distance_minimal() must put exactly the topology's
+  /// links at distance 1 (throws std::invalid_argument otherwise).
   Network(std::shared_ptr<const topo::Topology> topo,
           std::shared_ptr<const routing::MinimalRouting> routing);
 

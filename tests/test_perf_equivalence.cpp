@@ -21,6 +21,7 @@
 #include "core/polarstar.h"
 #include "fault/schedule.h"
 #include "io/trace_export.h"
+#include "routing/dragonfly_routing.h"
 #include "routing/routing.h"
 #include "sim/network.h"
 #include "sim/simulation.h"
@@ -48,7 +49,7 @@ std::shared_ptr<const sim::Network> polarstar_net(core::PolarStarConfig cfg) {
                                         routing::make_polarstar_routing(ps));
 }
 
-std::shared_ptr<const sim::Network> dragonfly_net() {
+std::shared_ptr<const sim::Network> dragonfly_table_net() {
   auto t = std::make_shared<const topo::Topology>(
       topo::dragonfly::build({4, 2, 2}));
   return std::make_shared<sim::Network>(t, routing::make_table_routing(t->g));
@@ -160,11 +161,28 @@ std::string trace_bytes(const sim::Network& net, const sim::SimParams& prm,
 
 // The Network's flattened distance matrix and route-port tables must agree
 // with the wrapped MinimalRouting on every pair (the simulator consults
-// only the flat tables on the hot path).
+// only the flat tables on the hot path). Covers both ways the tables are
+// built: derived from the distance matrix (analytic PolarStar over a Paley
+// and over an inductive-quad supernode, whose ER_q quadric vertices carry
+// loop edges; table routing, also over a disconnected graph) and asked
+// pair by pair (hierarchical Dragonfly).
 TEST(PerfEquivalence, FlatNetworkTablesMatchVirtualRouting) {
+  const auto df = std::make_shared<const topo::Topology>(
+      topo::dragonfly::build({4, 2, 2}));
+  auto split = std::make_shared<topo::Topology>();
+  split->name = "two-triangles";
+  split->g = g::Graph::from_edges(
+      6, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}});
+  split->set_uniform_concentration(1);
+  const auto split_net = std::make_shared<const sim::Network>(
+      split, routing::make_table_routing(split->g));
   for (const auto& net :
        {polarstar_net({4, 4, core::SupernodeKind::kPaley, 3}),
-        dragonfly_net()}) {
+        polarstar_net({5, 3, core::SupernodeKind::kInductiveQuad, 3}),
+        dragonfly_table_net(),
+        std::shared_ptr<const sim::Network>(std::make_shared<sim::Network>(
+            df, std::make_shared<routing::DragonflyRouting>(df))),
+        split_net}) {
     const auto& routing = net->routing();
     const std::uint32_t n = net->num_routers();
     std::vector<g::Vertex> hops;
@@ -182,11 +200,20 @@ TEST(PerfEquivalence, FlatNetworkTablesMatchVirtualRouting) {
       }
     }
   }
+  // Pairs across the two triangles: unreachable, with no candidate ports.
+  for (g::Vertex s = 0; s < 3; ++s) {
+    for (g::Vertex d = 3; d < 6; ++d) {
+      EXPECT_EQ(split_net->distance(s, d), g::kUnreachable);
+      EXPECT_EQ(split_net->distance(d, s), g::kUnreachable);
+      EXPECT_TRUE(split_net->route_ports(s, d).empty());
+      EXPECT_TRUE(split_net->route_ports(d, s).empty());
+    }
+  }
 }
 
 // Per-directed-link inverses: peer_port is the far end's input-port index.
 TEST(PerfEquivalence, LinkInversesConsistent) {
-  const auto net = dragonfly_net();
+  const auto net = dragonfly_table_net();
   for (g::Vertex r = 0; r < net->num_routers(); ++r) {
     for (std::uint32_t p = 0; p < net->num_link_ports(r); ++p) {
       const std::size_t link = net->link_index(r, p);
@@ -209,7 +236,7 @@ TEST(PerfEquivalence, MinimalSingleHash) {
 }
 
 TEST(PerfEquivalence, MinimalAdaptive) {
-  const auto net = dragonfly_net();
+  const auto net = dragonfly_table_net();
   auto prm = base_params();
   prm.min_select = sim::MinSelect::kAdaptive;
   const auto ref = run_pattern(*net, prm, true, 0.3);
@@ -346,7 +373,7 @@ TEST(PerfEquivalence, CollectiveEngineRuns) {
 
 // The VC occupancy index is one 32-bit mask per link port.
 TEST(PerfEquivalence, RejectsTooManyVcs) {
-  const auto net = dragonfly_net();
+  const auto net = dragonfly_table_net();
   sim::SimParams prm;
   prm.num_vcs = 33;
   sim::PatternSource src(net->topology(), sim::Pattern::kUniform, 0.1,

@@ -1,5 +1,6 @@
-// Routing layer tests: table routing consistency, storage accounting, and
-// UGAL-L path selection behavior.
+// Routing layer tests: table routing consistency, storage accounting,
+// UGAL-L path selection behavior, and the distance-minimal next-hop
+// contract sim::Network derives its route ports from.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,15 +8,54 @@
 #include <random>
 #include <set>
 
+#include "core/bundlefly.h"
 #include "core/polarstar.h"
 #include "routing/dragonfly_routing.h"
 #include "routing/routing.h"
 #include "routing/ugal.h"
 #include "topo/dragonfly.h"
+#include "topo/fattree.h"
 #include "topo/hyperx.h"
+#include "topo/lps.h"
 
+namespace core = polarstar::core;
 namespace routing = polarstar::routing;
+namespace topo = polarstar::topo;
 namespace g = polarstar::graph;
+
+namespace {
+
+// The neighbors of cur one hop closer to dst by r's own distance(), in
+// ascending order: what next_hops() must return when r declares
+// next_hops_are_distance_minimal().
+std::vector<g::Vertex> distance_minimal_hops(const g::Graph& graph,
+                                             const routing::MinimalRouting& r,
+                                             g::Vertex cur, g::Vertex dst) {
+  std::vector<g::Vertex> out;
+  const std::uint32_t d = r.distance(cur, dst);
+  if (cur == dst || d == g::kUnreachable) return out;
+  for (g::Vertex w : graph.neighbors(cur)) {
+    if (r.distance(w, dst) + 1 == d) out.push_back(w);
+  }
+  return out;
+}
+
+void expect_distance_minimal(const g::Graph& graph,
+                             const routing::MinimalRouting& r,
+                             const std::string& label) {
+  ASSERT_TRUE(r.next_hops_are_distance_minimal()) << label;
+  std::vector<g::Vertex> hops;
+  for (g::Vertex s = 0; s < graph.num_vertices(); ++s) {
+    for (g::Vertex d = 0; d < graph.num_vertices(); ++d) {
+      hops.clear();
+      r.next_hops(s, d, hops);
+      ASSERT_EQ(hops, distance_minimal_hops(graph, r, s, d))
+          << label << " " << s << "->" << d;
+    }
+  }
+}
+
+}  // namespace
 
 TEST(TableRouting, HopsDecreaseDistance) {
   auto t = polarstar::topo::dragonfly::build({4, 2, 2});
@@ -183,4 +223,53 @@ TEST(Ugal, ValiantHopsAreSumOfLegs) {
   } else {
     EXPECT_EQ(c.hops, r.distance(0, t.num_routers() - 1));
   }
+}
+
+// sim::Network derives its route ports from the distance matrix for every
+// routing that declares next_hops_are_distance_minimal(); brute-force the
+// declaration (order included) on every pair.
+TEST(RoutingContract, DistanceMinimalRoutingsMatchTheirDistances) {
+  for (const core::PolarStarConfig cfg :
+       {core::PolarStarConfig{3, 3, core::SupernodeKind::kInductiveQuad, 0},
+        core::PolarStarConfig{5, 3, core::SupernodeKind::kInductiveQuad, 0},
+        core::PolarStarConfig{4, 4, core::SupernodeKind::kPaley, 0},
+        core::PolarStarConfig{4, 4, core::SupernodeKind::kBdf, 0},
+        core::PolarStarConfig{4, 3, core::SupernodeKind::kComplete, 0}}) {
+    auto ps = std::make_shared<const core::PolarStar>(
+        core::PolarStar::build(cfg));
+    routing::PolarStarAnalyticRouting r(ps);
+    expect_distance_minimal(ps->graph(), r,
+                            std::string("PS-") + core::to_string(cfg.kind));
+  }
+  for (const auto& [label, t] :
+       {std::pair<std::string, topo::Topology>{
+            "BF", core::bundlefly::build({5, 5, 3})},
+        {"SF", topo::lps::build({11, 5, 4})},
+        {"FT", topo::fattree::build({6})}}) {
+    routing::TableRouting r(t.g);
+    expect_distance_minimal(t.g, r, label);
+  }
+}
+
+// Hierarchical Dragonfly routing is not distance-minimal, so sim::Network
+// must keep asking it per pair. Router 32 (group 8) has global links to
+// router 3 (group 0) and router 7 (group 1). From router 0 (group 0) the
+// hierarchical hop toward 32 is the local link to 3, group 0's gateway.
+// Router 0's own global link to 7 is one hop closer by DragonflyRouting's
+// distance() as well, yet it is not a hierarchical next hop.
+TEST(RoutingContract, HierarchicalDragonflyIsNotDistanceMinimal) {
+  auto t = std::make_shared<const topo::Topology>(
+      topo::dragonfly::build({4, 2, 2}));
+  routing::DragonflyRouting r(t);
+  EXPECT_FALSE(r.next_hops_are_distance_minimal());
+  ASSERT_EQ(t->group_of[0], 0u);
+  ASSERT_EQ(t->group_of[7], 1u);
+  ASSERT_EQ(t->group_of[32], 8u);
+  EXPECT_EQ(r.distance(0, 32), 2u);
+  EXPECT_EQ(r.distance(7, 32), 1u);
+  std::vector<g::Vertex> hops;
+  r.next_hops(0, 32, hops);
+  EXPECT_EQ(hops, std::vector<g::Vertex>{3});
+  EXPECT_EQ(distance_minimal_hops(t->g, r, 0, 32),
+            (std::vector<g::Vertex>{3, 7}));
 }

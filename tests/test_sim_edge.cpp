@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "routing/routing.h"
 #include "sim/simulation.h"
@@ -41,6 +44,20 @@ class ScriptedSource final : public sim::TrafficSource {
  private:
   std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>> sends_;
   std::size_t next_ = 0;
+};
+
+// Routing on a star centred at router 0; only construction reaches it.
+class StarRouting final : public routing::MinimalRouting {
+ public:
+  std::uint32_t distance(g::Vertex s, g::Vertex d) const override {
+    return s == d ? 0 : (s == 0 || d == 0) ? 1 : 2;
+  }
+  void next_hops(g::Vertex cur, g::Vertex dst,
+                 std::vector<g::Vertex>& out) const override {
+    if (cur != dst) out.push_back(cur == 0 ? dst : 0);
+  }
+  std::size_t storage_entries() const override { return 0; }
+  std::string name() const override { return "star"; }
 };
 
 topo::Topology path_topology(std::uint32_t n) {
@@ -264,4 +281,27 @@ TEST(SimEdge, TwoVcsSufficeForTwoHopPaths) {
   auto res = s.run();
   EXPECT_TRUE(res.stable);
   EXPECT_FALSE(res.deadlock);
+}
+
+// Ports are stored as uint16: a router with more links than that is
+// refused when the Network is built, never silently truncated.
+TEST(SimEdge, NetworkRejectsDegreeBeyondUint16Ports) {
+  constexpr g::Vertex kLeaves = 65536;
+  std::vector<g::Edge> edges;
+  for (g::Vertex v = 1; v <= kLeaves; ++v) edges.push_back({0, v});
+  auto t = std::make_shared<topo::Topology>();
+  t->name = "star";
+  t->g = g::Graph::from_edges(kLeaves + 1, edges);
+  t->set_uniform_concentration(1);
+  EXPECT_THROW(sim::Network net(t, std::make_shared<StarRouting>()),
+               std::length_error);
+}
+
+// Route ports derived from the distance matrix take their neighbors from
+// the topology, so a routing built over a different graph is refused.
+TEST(SimEdge, NetworkRejectsRoutingOverAnotherGraph) {
+  auto t = std::make_shared<topo::Topology>(path_topology(4));
+  const auto ring = g::Graph::from_edges(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
+  EXPECT_THROW(sim::Network net(t, routing::make_table_routing(ring)),
+               std::invalid_argument);
 }
