@@ -1,20 +1,23 @@
 // Static per-topology precomputation for the flit-level simulator: port
 // numbering (link ports first, then injection/ejection per endpoint slot),
-// flattened minimal-route port tables and a flattened distance matrix
-// derived from a MinimalRouting, plus per-directed-link neighbor/peer/owner
-// arrays so the cycle loop never chases the shared_ptr/virtual routing
-// chain per hop.
+// one deduplicated minimal-route / distance table derived from a
+// MinimalRouting, plus per-directed-link neighbor/peer/owner arrays so the
+// cycle loop never chases the shared_ptr/virtual routing chain per hop.
 //
-// The route and distance tables are a *simulator acceleration*: the
-// storage the paper compares is reported by
-// MinimalRouting::storage_entries(), not by this cache. Every flattened
-// answer is bit-identical to the wrapped MinimalRouting's (the `perf`
-// ctest label asserts it). The distance matrix takes one distance() call
-// per pair. When the routing declares next_hops_are_distance_minimal(),
-// the route ports are derived from that matrix (port p of s is a candidate
-// toward d iff dist(neighbor_at(s, p), d) + 1 == dist(s, d)); any other
-// routing is asked for next_hops() pair by pair. Construction throws
-// std::length_error when a degree or table outgrows its uint16 / uint32
+// The route table is a *simulator acceleration*: the storage the paper
+// compares is reported by MinimalRouting::storage_entries(), not by this
+// cache. Every answer is bit-identical to the wrapped MinimalRouting's (the
+// `perf` ctest label asserts it). Each ordered pair (s, d) holds a uint16
+// id into s's row of deduplicated entries {ports offset, distance, port
+// count}, so one lookup answers both distance(s, d) and route_ports(s, d);
+// destinations of s that share a distance and a port list share an entry
+// and its ports. Construction takes one distance() call per pair into a
+// temporary distance matrix. When the routing declares
+// next_hops_are_distance_minimal(), the route ports are derived from that
+// matrix (port p of s is a candidate toward d iff
+// dist(neighbor_at(s, p), d) + 1 == dist(s, d)); any other routing is asked
+// for next_hops() pair by pair. Construction throws std::length_error when
+// a degree, a row's entries or the port store outgrows its uint16 / uint32
 // storage.
 #pragma once
 
@@ -79,20 +82,21 @@ class Network {
     return reverse_port_[port_base_[r] + port];
   }
 
-  /// Minimal-route candidate ports from cur toward dst (empty iff cur==dst).
+  /// Minimal-route candidate ports from cur toward dst (empty iff cur==dst
+  /// or dst is unreachable). Destinations of cur with the same distance
+  /// and the same candidates share one span (same data()).
   std::span<const std::uint16_t> route_ports(graph::Vertex cur,
                                              graph::Vertex dst) const {
-    const auto [b, e] = route_ranges_[static_cast<std::size_t>(cur) * n_ + dst];
-    return {route_ports_.data() + b, route_ports_.data() + e};
+    const RouteEntry& e = entry(cur, dst);
+    return {route_ports_.data() + e.ports, e.count};
   }
 
-  /// Pristine hop distance, resolved once at construction into a flat
-  /// uint16 array (0xFFFF = graph::kUnreachable, the DistanceMatrix
-  /// convention); bit-identical to routing().distance() but one load
-  /// instead of a virtual call into the analytic case analysis.
+  /// Pristine hop distance (graph::kUnreachable when disconnected);
+  /// bit-identical to routing().distance() but one table lookup instead of
+  /// a virtual call into the analytic case analysis.
   std::uint32_t distance(graph::Vertex src, graph::Vertex dst) const {
-    const std::uint16_t d = dist_[static_cast<std::size_t>(src) * n_ + dst];
-    return d == 0xFFFFu ? graph::kUnreachable : d;
+    const std::uint16_t d = entry(src, dst).dist;
+    return d == kNoDist ? graph::kUnreachable : d;
   }
 
   /// Neighbor at the far end of the directed link (one load; equals
@@ -117,6 +121,20 @@ class Network {
   std::size_t port_base(graph::Vertex r) const { return port_base_[r]; }
 
  private:
+  // One deduplicated route of a source row: route_ports_[ports, ports +
+  // count) at hop distance dist (kNoDist = unreachable).
+  struct RouteEntry {
+    std::uint32_t ports;
+    std::uint16_t dist;
+    std::uint16_t count;
+  };
+  static constexpr std::uint16_t kNoDist = 0xFFFFu;
+
+  const RouteEntry& entry(graph::Vertex s, graph::Vertex d) const {
+    return entries_[entry_base_[s] +
+                    route_id_[static_cast<std::size_t>(s) * n_ + d]];
+  }
+
   std::shared_ptr<const topo::Topology> topo_;
   std::shared_ptr<const routing::MinimalRouting> routing_;
   std::uint32_t n_ = 0;
@@ -126,8 +144,9 @@ class Network {
   std::vector<graph::Vertex> link_neighbor_;    // per directed link
   std::vector<std::uint32_t> peer_port_;        // per directed link
   std::vector<graph::Vertex> link_router_;      // per directed link
-  std::vector<std::uint16_t> dist_;             // n x n, 0xFFFF = unreachable
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> route_ranges_;
+  std::vector<std::uint16_t> route_id_;         // n x n, id within s's row
+  std::vector<std::uint32_t> entry_base_;       // size n+1: row s's entries
+  std::vector<RouteEntry> entries_;
   std::vector<std::uint16_t> route_ports_;
 };
 

@@ -34,6 +34,21 @@ Simulation::Simulation(const Network& net, const SimParams& prm,
       rng_(prm.seed),
       collector_(collector),
       ugal_(net.routing(), net.num_routers(), prm.ugal_candidates) {
+  if (prm_.num_vcs == 0 || prm_.num_vcs > 32) {
+    throw std::invalid_argument(
+        "Simulation: num_vcs must be in [1, 32] (the VC occupancy index is "
+        "one 32-bit mask per link port)");
+  }
+  // Buffer slots, credits, packet lengths and flit sequence numbers are
+  // uint16 fields.
+  if (prm_.vc_buffer_flits == 0 || prm_.vc_buffer_flits > 0xFFFFu) {
+    throw std::invalid_argument(
+        "Simulation: vc_buffer_flits must be in [1, 65535]");
+  }
+  if (prm_.packet_flits == 0 || prm_.packet_flits > 0xFFFFu) {
+    throw std::invalid_argument(
+        "Simulation: packet_flits must be in [1, 65535]");
+  }
   if (collector_ != nullptr) {
     const auto caps = collector_->caps();
     link_telemetry_ = caps.link_flits;
@@ -55,18 +70,14 @@ Simulation::Simulation(const Network& net, const SimParams& prm,
     link_down_.assign(net.total_link_ports(), 0);
     router_down_.assign(net.num_routers(), 0);
   }
-  if (prm_.num_vcs == 0 || prm_.num_vcs > 32) {
-    throw std::invalid_argument(
-        "Simulation: num_vcs must be in [1, 32] (the VC occupancy index is "
-        "one 32-bit mask per link port)");
-  }
   const std::size_t nbuf = net.total_link_ports() * prm_.num_vcs;
   buf_store_.resize(nbuf * prm_.vc_buffer_flits);
-  buf_head_.assign(nbuf, 0);
-  buf_size_.assign(nbuf, 0);
-  vc_state_.assign(nbuf, {});
-  credits_.assign(nbuf, static_cast<std::uint16_t>(prm_.vc_buffer_flits));
-  out_owner_.assign(nbuf, 0);
+  BufState empty;
+  empty.credits = static_cast<std::uint16_t>(prm_.vc_buffer_flits);
+  bufs_.assign(nbuf, empty);
+  if (prm_.path_mode == PathMode::kUgal && !prm_.reference_impl) {
+    in_occupied_.assign(net.total_link_ports(), 0);
+  }
 
   const auto& topo = net.topology();
   const std::uint64_t eps = topo.num_endpoints();
@@ -97,24 +108,9 @@ Simulation::Simulation(const Network& net, const SimParams& prm,
     scratch_.out_granted.assign(max_out, 0);
   }
 
-  // Flat lookups: endpoint->router, downstream receive-buffer bases, and
-  // the buffer->link/vc-bit/router inverses behind the occupancy index.
   ep_router_.resize(eps);
   for (std::uint64_t ep = 0; ep < eps; ++ep) {
     ep_router_[ep] = topo.router_of_endpoint(ep);
-  }
-  recv_buf_base_.resize(net.total_link_ports());
-  for (std::size_t link = 0; link < net.total_link_ports(); ++link) {
-    recv_buf_base_[link] =
-        static_cast<std::uint32_t>(net.peer_port(link) * prm_.num_vcs);
-  }
-  buf_link_.resize(nbuf);
-  buf_vc_bit_.resize(nbuf);
-  buf_router_.resize(nbuf);
-  for (std::size_t b = 0; b < nbuf; ++b) {
-    buf_link_[b] = static_cast<std::uint32_t>(b / prm_.num_vcs);
-    buf_vc_bit_[b] = 1u << (b % prm_.num_vcs);
-    buf_router_[b] = net.link_router(buf_link_[b]);
   }
   port_mask_.assign(net.total_link_ports(), 0);
   router_work_.assign(net.num_routers(), 0);
@@ -135,26 +131,36 @@ Simulation::Simulation(const Network& net, const SimParams& prm,
   }
 }
 
+// The occupancy index is touched only when a VC turns non-empty or
+// empty; its link, VC bit and router come from the buffer index (a 32-bit
+// division: buffer indexes travel as uint32 in the arrival and credit
+// rings).
 void Simulation::buffer_push(std::size_t b, Flit f) {
   const std::uint32_t cap = prm_.vc_buffer_flits;
-  assert(buf_size_[b] < cap);
-  std::uint32_t pos = static_cast<std::uint32_t>(buf_head_[b]) + buf_size_[b];
+  BufState& st = bufs_[b];
+  assert(st.size < cap);
+  std::uint32_t pos = static_cast<std::uint32_t>(st.head) + st.size;
   if (pos >= cap) pos -= cap;  // head, size < cap: one conditional subtract
   buf_store_[b * cap + pos] = f;
-  if (buf_size_[b]++ == 0) {
-    port_mask_[buf_link_[b]] |= buf_vc_bit_[b];
-    ++router_work_[buf_router_[b]];
+  if (st.size++ == 0) {
+    const std::uint32_t link = static_cast<std::uint32_t>(b) / prm_.num_vcs;
+    port_mask_[link] |= 1u << (b - link * prm_.num_vcs);
+    ++router_work_[net_->link_router(link)];
   }
 }
 
 void Simulation::buffer_pop(std::size_t b) {
-  std::uint32_t h = static_cast<std::uint32_t>(buf_head_[b]) + 1;
-  if (h == prm_.vc_buffer_flits) h = 0;
-  buf_head_[b] = static_cast<std::uint16_t>(h);
-  if (--buf_size_[b] == 0) {
-    port_mask_[buf_link_[b]] &= ~buf_vc_bit_[b];
-    --router_work_[buf_router_[b]];
+  BufState& st = bufs_[b];
+  if (--st.size == 0) {
+    st.head = 0;  // a drained ring restarts at slot 0
+    const std::uint32_t link = static_cast<std::uint32_t>(b) / prm_.num_vcs;
+    port_mask_[link] &= ~(1u << (b - link * prm_.num_vcs));
+    --router_work_[net_->link_router(link)];
+    return;
   }
+  std::uint32_t h = static_cast<std::uint32_t>(st.head) + 1;
+  if (h == prm_.vc_buffer_flits) h = 0;
+  st.head = static_cast<std::uint16_t>(h);
 }
 
 void Simulation::inj_push(std::uint64_t ep, std::uint32_t pkt_idx) {
@@ -270,18 +276,9 @@ double Simulation::occupancy(Vertex r, Vertex next) const {
   double occupied = 0;
   for (std::uint32_t vc = 0; vc < prm_.num_vcs; ++vc) {
     const std::size_t b = buffer_index(nbr, rev, vc);
-    occupied += prm_.vc_buffer_flits - credits_[b];
+    occupied += prm_.vc_buffer_flits - bufs_[b].credits;
   }
   return occupied;  // absolute flits: the classic UGAL-L queue estimate
-}
-
-double Simulation::occupancy_by_port(std::size_t link) const {
-  const std::size_t base = recv_buf_base_[link];
-  double occupied = 0;
-  for (std::uint32_t vc = 0; vc < prm_.num_vcs; ++vc) {
-    occupied += prm_.vc_buffer_flits - credits_[base + vc];
-  }
-  return occupied;
 }
 
 double Simulation::path_cost_fast(Vertex src, Vertex toward,
@@ -411,7 +408,8 @@ bool Simulation::compute_route(std::uint32_t pkt_idx, Vertex r,
     std::uint16_t best = ports[0];
     int best_credit = -1;
     for (std::uint16_t p : ports) {
-      const int c = credits_[recv_buf_base_[pb + p] + ovc];
+      const int c =
+          bufs_[net_->peer_port(pb + p) * prm_.num_vcs + ovc].credits;
       if (c > best_credit) {
         best_credit = c;
         best = p;
@@ -502,9 +500,9 @@ void Simulation::process_faults() {
       if (link_down_[a.buffer / prm_.num_vcs] != 0) victims.push_back(a.flit.pkt);
     }
   }
-  for (std::size_t recv = 0; recv < out_owner_.size(); ++recv) {
-    if (out_owner_[recv] != 0 && link_down_[recv / prm_.num_vcs] != 0) {
-      victims.push_back(out_owner_[recv] - 1);
+  for (std::size_t recv = 0; recv < bufs_.size(); ++recv) {
+    if (bufs_[recv].owner != 0 && link_down_[recv / prm_.num_vcs] != 0) {
+      victims.push_back(bufs_[recv].owner - 1);
     }
   }
   const auto& topo = net_->topology();
@@ -515,8 +513,8 @@ void Simulation::process_faults() {
         (net_->port_base(r) + net_->num_link_ports(r)) * prm_.num_vcs;
     const std::uint32_t cap = prm_.vc_buffer_flits;
     for (std::size_t b = b0; b < b1; ++b) {
-      for (std::uint16_t i = 0; i < buf_size_[b]; ++i) {
-        victims.push_back(buf_store_[b * cap + (buf_head_[b] + i) % cap].pkt);
+      for (std::uint16_t i = 0; i < bufs_[b].size; ++i) {
+        victims.push_back(buf_store_[b * cap + (bufs_[b].head + i) % cap].pkt);
       }
     }
     const std::uint64_t ep0 = topo.first_endpoint(r);
@@ -542,7 +540,7 @@ void Simulation::process_faults() {
     const std::uint32_t deg = net_->num_link_ports(r);
     for (std::uint32_t p = 0; p < deg; ++p) {
       for (std::uint32_t vc = 0; vc < prm_.num_vcs; ++vc) {
-        VcState& st = vc_state_[buffer_index(r, p, vc)];
+        VcState& st = bufs_[buffer_index(r, p, vc)].vc;
         if (st.active && st.out_port < deg &&
             link_down_[net_->link_index(r, st.out_port)] != 0) {
           st.active = false;
@@ -567,15 +565,15 @@ void Simulation::purge_packets(std::vector<std::uint32_t>& victims) {
   for (std::uint32_t v : victims) is_victim[v] = 1;
 
   // Downstream VC ownership.
-  for (std::uint32_t& owner : out_owner_) {
-    if (owner != 0 && is_victim[owner - 1]) owner = 0;
+  for (BufState& st : bufs_) {
+    if (st.owner != 0 && is_victim[st.owner - 1]) st.owner = 0;
   }
   // Link pipeline: each removed arrival returns the credit its sender took.
   for (auto& slot : arrivals_) {
     std::size_t w = 0;
     for (std::size_t i = 0; i < slot.size(); ++i) {
       if (is_victim[slot[i].flit.pkt]) {
-        ++credits_[slot[i].buffer];
+        ++bufs_[slot[i].buffer].credits;
       } else {
         slot[w++] = slot[i];
       }
@@ -587,13 +585,14 @@ void Simulation::purge_packets(std::vector<std::uint32_t>& victims) {
   // only while the front packet is unchanged.
   const std::uint32_t cap = prm_.vc_buffer_flits;
   std::vector<Flit> kept;
-  for (std::size_t b = 0; b < buf_size_.size(); ++b) {
-    if (buf_size_[b] == 0) continue;
+  for (std::size_t b = 0; b < bufs_.size(); ++b) {
+    BufState& st = bufs_[b];
+    if (st.size == 0) continue;
     const std::uint32_t front_pkt = buffer_front(b).pkt;
     kept.clear();
     bool removed = false;
-    for (std::uint16_t i = 0; i < buf_size_[b]; ++i) {
-      const Flit f = buf_store_[b * cap + (buf_head_[b] + i) % cap];
+    for (std::uint16_t i = 0; i < st.size; ++i) {
+      const Flit f = buf_store_[b * cap + (st.head + i) % cap];
       if (is_victim[f.pkt]) {
         removed = true;
       } else {
@@ -601,13 +600,11 @@ void Simulation::purge_packets(std::vector<std::uint32_t>& victims) {
       }
     }
     if (!removed) continue;
-    credits_[b] += static_cast<std::uint16_t>(buf_size_[b] - kept.size());
-    buf_head_[b] = 0;
-    buf_size_[b] = static_cast<std::uint16_t>(kept.size());
+    st.credits += static_cast<std::uint16_t>(st.size - kept.size());
+    st.head = 0;
+    st.size = static_cast<std::uint16_t>(kept.size());
     for (std::size_t i = 0; i < kept.size(); ++i) buf_store_[b * cap + i] = kept[i];
-    if (kept.empty() || kept.front().pkt != front_pkt) {
-      vc_state_[b].active = false;
-    }
+    if (kept.empty() || kept.front().pkt != front_pkt) st.vc.active = false;
   }
   // Injection queues (a victim mid-injection resets its sent counter):
   // relink each pooled FIFO keeping survivors in order, returning victim
@@ -643,19 +640,32 @@ void Simulation::purge_packets(std::vector<std::uint32_t>& victims) {
     }
   }
 
-  // The purge edited buffers and queues wholesale: rebuild the occupancy
-  // index (cold path, once per fault batch).
+  // The purge edited buffers, credits and queues wholesale: rebuild the
+  // occupancy index and the per-port occupancy counters (cold path, once
+  // per fault batch or unroutable kill).
   std::fill(port_mask_.begin(), port_mask_.end(), 0u);
   std::fill(router_work_.begin(), router_work_.end(), 0u);
-  for (std::size_t b = 0; b < buf_size_.size(); ++b) {
-    if (buf_size_[b] != 0) {
-      port_mask_[buf_link_[b]] |= buf_vc_bit_[b];
-      ++router_work_[buf_router_[b]];
+  for (std::size_t b = 0; b < bufs_.size(); ++b) {
+    if (bufs_[b].size != 0) {
+      const std::size_t link = b / prm_.num_vcs;
+      port_mask_[link] |= 1u << (b - link * prm_.num_vcs);
+      ++router_work_[net_->link_router(link)];
     }
   }
   for (std::size_t ep = 0; ep < inj_head_.size(); ++ep) {
     if (inj_head_[ep] != kNilNode) ++router_work_[ep_router_[ep]];
   }
+  for (std::size_t port = 0; port < in_occupied_.size(); ++port) {
+    in_occupied_[port] = credit_deficit(port);
+  }
+}
+
+std::uint32_t Simulation::credit_deficit(std::size_t port) const {
+  std::uint32_t occupied = 0;
+  for (std::uint32_t vc = 0; vc < prm_.num_vcs; ++vc) {
+    occupied += prm_.vc_buffer_flits - bufs_[port * prm_.num_vcs + vc].credits;
+  }
+  return occupied;
 }
 
 void Simulation::drop_packet(std::uint32_t pkt_idx) {
@@ -777,14 +787,14 @@ void Simulation::route_routers() {
                         std::uint32_t pkt, std::uint16_t out, std::uint8_t ovc,
                         std::uint16_t seq) {
       if (out < deg) {
-        const std::size_t recv = recv_buf_base_[pb + out] + ovc;
-        if (credits_[recv] == 0) {
+        const BufState& down = bufs_[net_->peer_port(pb + out) * num_vcs + ovc];
+        if (down.credits == 0) {
           if constexpr (kTel) {
             if (stall_telemetry_) sc.out_want_credit[out] = 1;
           }
           return;
         }
-        const std::uint32_t owner = out_owner_[recv];
+        const std::uint32_t owner = down.owner;
         // Head: VC must be free or already ours. Body: must follow its head.
         if (seq == 0 ? (owner != 0 && owner != pkt + 1) : (owner != pkt + 1)) {
           if constexpr (kTel) {
@@ -807,7 +817,7 @@ void Simulation::route_routers() {
         m &= m - 1;
         const std::size_t b = (pb + port) * num_vcs + vc;
         const Flit f = buffer_front(b);
-        VcState& st = vc_state_[b];
+        VcState& st = bufs_[b].vc;
         if (!st.active) {
           // A head flit must be at the front (wormhole order).
           if (!compute_route(f.pkt, r, st.out_port, st.out_vc)) {
@@ -889,14 +899,16 @@ void Simulation::route_routers() {
         f = buffer_front(b);
         buffer_pop(b);
         cred_out.push_back(static_cast<std::uint32_t>(b));
-        if (f.seq + 1u == pk.flits) vc_state_[b].active = false;
+        if (f.seq + 1u == pk.flits) bufs_[b].vc.active = false;
       }
 
       // Forward.
       if (o < deg) {
-        const std::size_t recv = recv_buf_base_[pb + o] + req.ovc;
+        const std::size_t in_port = net_->peer_port(pb + o);
+        const std::size_t recv = in_port * num_vcs + req.ovc;
+        BufState& down = bufs_[recv];
         if (f.seq == 0) {
-          out_owner_[recv] = pkt_idx + 1;
+          down.owner = pkt_idx + 1;
           ++pk.hops;
           if constexpr (kTel) {
             if (packet_telemetry_ && traced_[pkt_idx]) {
@@ -909,8 +921,9 @@ void Simulation::route_routers() {
             }
           }
         }
-        if (f.seq + 1u == pk.flits) out_owner_[recv] = 0;
-        --credits_[recv];
+        if (f.seq + 1u == pk.flits) down.owner = 0;
+        --down.credits;
+        if (!in_occupied_.empty()) ++in_occupied_[in_port];
         arr_out.push_back({static_cast<std::uint32_t>(recv), f});
         if constexpr (kTel) {
           if (link_telemetry_) collector_->on_link_flit(pb + o, cycle_);
@@ -968,7 +981,10 @@ void Simulation::step_impl() {
   for (const Arrival& a : arr_slot) buffer_push(a.buffer, a.flit);
   arr_slot.clear();
   auto& credit_slot = credit_returns_[cycle_ % credit_returns_.size()];
-  for (std::uint32_t b : credit_slot) ++credits_[b];
+  for (std::uint32_t b : credit_slot) ++bufs_[b].credits;
+  if (!in_occupied_.empty()) {
+    for (std::uint32_t b : credit_slot) --in_occupied_[b / prm_.num_vcs];
+  }
   credit_slot.clear();
   prof_lap(prof_.deliver_seconds);
 
@@ -1001,8 +1017,7 @@ void Simulation::step_impl() {
   prof_lap(prof_.barrier_seconds);
   if constexpr (kTel) {
     if (occupancy_period_ != 0 && cycle_ % occupancy_period_ == 0) {
-      collector_->on_occupancy_sample(
-          cycle_, {std::span<const std::uint16_t>(buf_size_), prm_.num_vcs});
+      sample_occupancy();
     }
     // Metrics frames close end-of-cycle so an interval of K covers exactly
     // K source ticks / finalize passes: [0,K), [K,2K), ... (see
@@ -1033,7 +1048,7 @@ void Simulation::step_reference() {
   for (const Arrival& a : slot) buffer_push(a.buffer, a.flit);
   slot.clear();
   auto& credit_slot = credit_returns_[cycle_ % credit_returns_.size()];
-  for (std::uint32_t b : credit_slot) ++credits_[b];
+  for (std::uint32_t b : credit_slot) ++bufs_[b].credits;
   credit_slot.clear();
 
   source_->tick(*this);
@@ -1062,11 +1077,11 @@ void Simulation::step_reference() {
         const Vertex nbr = net_->neighbor_at(r, out);
         const std::uint32_t rev = net_->reverse_port(r, out);
         const std::size_t recv = buffer_index(nbr, rev, ovc);
-        if (credits_[recv] == 0) {
+        if (bufs_[recv].credits == 0) {
           if (stall_telemetry_) sc.out_want_credit[out] = 1;
           return;
         }
-        const std::uint32_t owner = out_owner_[recv];
+        const std::uint32_t owner = bufs_[recv].owner;
         if (seq == 0) {
           if (owner != 0 && owner != pkt + 1) {  // VC held by another
             if (stall_telemetry_) sc.out_want_vc[out] = 1;
@@ -1089,7 +1104,7 @@ void Simulation::step_reference() {
         const std::size_t b = buffer_index(r, port, vc);
         if (buffer_empty(b)) continue;
         const Flit f = buffer_front(b);
-        VcState& st = vc_state_[b];
+        VcState& st = bufs_[b].vc;
         if (!st.active) {
           if (!compute_route(f.pkt, r, st.out_port, st.out_vc)) {
             sc.pending_kills.push_back(f.pkt);
@@ -1171,7 +1186,7 @@ void Simulation::step_reference() {
         credit_returns_[(cycle_ + prm_.credit_latency) %
                         credit_returns_.size()]
             .push_back(static_cast<std::uint32_t>(b));
-        if (f.seq + 1u == pk.flits) vc_state_[b].active = false;
+        if (f.seq + 1u == pk.flits) bufs_[b].vc.active = false;
       }
 
       if (o < deg) {
@@ -1179,7 +1194,7 @@ void Simulation::step_reference() {
         const std::uint32_t rev = net_->reverse_port(r, o);
         const std::size_t recv = buffer_index(nbr, rev, req.ovc);
         if (f.seq == 0) {
-          out_owner_[recv] = pkt_idx + 1;
+          bufs_[recv].owner = pkt_idx + 1;
           ++pk.hops;
           if (packet_telemetry_ && traced_[pkt_idx]) {
             collector_->on_packet_hop(pk, r, o, req.ovc,
@@ -1188,8 +1203,8 @@ void Simulation::step_reference() {
                 cycle_ + prm_.link_latency + prm_.router_latency;
           }
         }
-        if (f.seq + 1u == pk.flits) out_owner_[recv] = 0;
-        --credits_[recv];
+        if (f.seq + 1u == pk.flits) bufs_[recv].owner = 0;
+        --bufs_[recv].credits;
         arrivals_[(cycle_ + prm_.link_latency + prm_.router_latency) %
                   arrivals_.size()]
             .push_back({static_cast<std::uint32_t>(recv), f});
@@ -1215,8 +1230,7 @@ void Simulation::step_reference() {
     deadlock_ = true;
   }
   if (occupancy_period_ != 0 && cycle_ % occupancy_period_ == 0) {
-    collector_->on_occupancy_sample(
-        cycle_, {std::span<const std::uint16_t>(buf_size_), prm_.num_vcs});
+    sample_occupancy();
   }
   // Same end-of-cycle metrics sample site as step_impl: the frame reads
   // only counters both engines mutate through the shared helpers
@@ -1259,20 +1273,23 @@ void Simulation::check_invariants() const {
   std::size_t arrivals_in_flight = 0;
   for (const auto& slot : arrivals_) arrivals_in_flight += slot.size();
 
-  const std::size_t nbuf = buf_size_.size();
+  const std::size_t nbuf = bufs_.size();
   std::size_t total_buffered = 0, total_credits = 0;
   for (std::size_t b = 0; b < nbuf; ++b) {
-    if (buf_size_[b] > cap || credits_[b] > cap) {
+    const BufState& st = bufs_[b];
+    if (st.size > cap || st.credits > cap || st.head >= cap) {
       throw std::logic_error("sim invariant: buffer/credit over capacity");
     }
-    total_buffered += buf_size_[b];
-    total_credits += credits_[b];
+    if (st.size == 0 && st.head != 0) {
+      throw std::logic_error("sim invariant: empty VC ring not at slot 0");
+    }
+    total_buffered += st.size;
+    total_credits += st.credits;
     // Wormhole contiguity: flits of one packet occupy consecutive slots
     // with ascending sequence numbers.
-    for (std::uint16_t i = 1; i < buf_size_[b]; ++i) {
-      const Flit& prev =
-          buf_store_[b * cap + (buf_head_[b] + i - 1) % cap];
-      const Flit& curf = buf_store_[b * cap + (buf_head_[b] + i) % cap];
+    for (std::uint16_t i = 1; i < st.size; ++i) {
+      const Flit& prev = buf_store_[b * cap + (st.head + i - 1) % cap];
+      const Flit& curf = buf_store_[b * cap + (st.head + i) % cap];
       if (curf.pkt == prev.pkt && curf.seq != prev.seq + 1) {
         throw std::logic_error("sim invariant: wormhole order broken");
       }
@@ -1296,11 +1313,12 @@ void Simulation::check_invariants() const {
   // equals non-empty buffers plus non-empty injection queues.
   std::vector<std::uint32_t> work(router_work_.size(), 0);
   for (std::size_t b = 0; b < nbuf; ++b) {
-    const bool bit = (port_mask_[buf_link_[b]] & buf_vc_bit_[b]) != 0;
-    if (bit != (buf_size_[b] != 0)) {
+    const std::size_t link = b / prm_.num_vcs;
+    const std::uint32_t vc_bit = 1u << (b % prm_.num_vcs);
+    if (((port_mask_[link] & vc_bit) != 0) != (bufs_[b].size != 0)) {
       throw std::logic_error("sim invariant: VC occupancy mask out of sync");
     }
-    if (buf_size_[b] != 0) ++work[buf_router_[b]];
+    if (bufs_[b].size != 0) ++work[net_->link_router(link)];
   }
   for (std::size_t ep = 0; ep < inj_head_.size(); ++ep) {
     std::uint32_t count = 0;
@@ -1319,6 +1337,22 @@ void Simulation::check_invariants() const {
   if (work != router_work_) {
     throw std::logic_error("sim invariant: router work counter out of sync");
   }
+  // Per-port occupancy counters (UGAL's queue estimate, when kept) equal
+  // the credit deficit of their VCs.
+  for (std::size_t port = 0; port < in_occupied_.size(); ++port) {
+    if (credit_deficit(port) != in_occupied_[port]) {
+      throw std::logic_error("sim invariant: port occupancy counter drift");
+    }
+  }
+}
+
+void Simulation::sample_occupancy() {
+  occupancy_sample_.resize(bufs_.size());
+  for (std::size_t b = 0; b < bufs_.size(); ++b) {
+    occupancy_sample_[b] = bufs_[b].size;
+  }
+  collector_->on_occupancy_sample(cycle_,
+                                  {occupancy_sample_, prm_.num_vcs});
 }
 
 // Close the metrics interval [metrics_.last_cycle, end_cycle): hand the
@@ -1343,7 +1377,7 @@ void Simulation::emit_metrics_frame(std::uint64_t end_cycle) {
   f.lat_sum = metrics_.lat_sum;
   f.lat_max = metrics_.lat_max;
   std::uint64_t buffered = 0;
-  for (const std::uint16_t s : buf_size_) buffered += s;
+  for (const BufState& st : bufs_) buffered += st.size;
   f.buffered_flits = buffered;
   f.in_flight = live_packets_;
   f.dropped = packets_dropped_ - metrics_.dropped;

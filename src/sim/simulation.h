@@ -44,9 +44,10 @@ enum class MinSelect { kSingleHash, kAdaptive };
 const char* to_string(PathMode mode, MinSelect sel);
 
 struct SimParams {
-  std::uint32_t num_vcs = 4;
-  std::uint32_t vc_buffer_flits = 32;  // per input VC (4 x 32 = 128 per port)
-  std::uint32_t packet_flits = 4;
+  std::uint32_t num_vcs = 4;  // [1, 32]
+  // Per input VC (4 x 32 = 128 per port); [1, 65535].
+  std::uint32_t vc_buffer_flits = 32;
+  std::uint32_t packet_flits = 4;  // [1, 65535]
   std::uint32_t link_latency = 1;
   /// Extra per-hop router pipeline delay (cycles added to traversal).
   std::uint32_t router_latency = 0;
@@ -263,6 +264,20 @@ class Simulation {
     std::uint8_t out_vc = 0;
     bool active = false;
   };
+  // Everything the cycle loop keeps per input VC buffer, in one 16-byte
+  // record: the ring (head slot, flit count), the route of the front
+  // packet, and the two fields the upstream sender reads -- free slots
+  // (credits) and the packet holding the VC.
+  struct BufState {
+    std::uint16_t head = 0;  // 0 whenever the ring is empty
+    std::uint16_t size = 0;
+    std::uint16_t credits = 0;
+    VcState vc;
+    // Packet currently holding the VC downstream of the sender: pool
+    // index + 1, 0 = free.
+    std::uint32_t owner = 0;
+  };
+  static_assert(sizeof(BufState) == 16);
   struct Arrival {
     std::uint32_t buffer;  // destination input-buffer index
     Flit flit;
@@ -273,9 +288,9 @@ class Simulation {
     return (net_->port_base(r) + port) * prm_.num_vcs + vc;
   }
 
-  bool buffer_empty(std::size_t b) const { return buf_size_[b] == 0; }
+  bool buffer_empty(std::size_t b) const { return bufs_[b].size == 0; }
   Flit& buffer_front(std::size_t b) {
-    return buf_store_[b * prm_.vc_buffer_flits + buf_head_[b]];
+    return buf_store_[b * prm_.vc_buffer_flits + bufs_[b].head];
   }
   void buffer_push(std::size_t b, Flit f);
   void buffer_pop(std::size_t b);
@@ -296,15 +311,18 @@ class Simulation {
   void inj_pop_front(std::uint64_t ep);
 
   // UGAL-L fast path: bit-identical replica of routing::UgalSelector's
-  // select()/cost() (same RNG consumption, same double accumulation order)
-  // over the Network's flattened distance/route-port tables and this
-  // simulation's credit state. `ctest -L perf` diffs it against the
+  // select()/cost() (same RNG consumption, same queue estimates) over the
+  // Network's route table and this simulation's per-port occupancy
+  // counters. `ctest -L perf` diffs it against the
   // reference selector; any edit here must keep routing/ugal.h in lockstep.
   routing::PathChoice ugal_select_fast(graph::Vertex src, graph::Vertex dst);
   double path_cost_fast(graph::Vertex src, graph::Vertex toward,
                         std::uint32_t hops) const;
-  // occupancy() resolved to a directed link index (= port_base(r) + port).
-  double occupancy_by_port(std::size_t link) const;
+  // occupancy() resolved to a directed link index (= port_base(r) + port):
+  // the far input port's counter, no per-VC sum.
+  double occupancy_by_port(std::size_t link) const {
+    return in_occupied_[net_->peer_port(link)];
+  }
 
   // One switch-allocation request: req_stride_ slots per output port
   // (enough for every input of the widest router), with per-output counts
@@ -376,6 +394,11 @@ class Simulation {
   void report_output_stalls(graph::Vertex r, std::uint32_t deg);
   void finalize_flit(std::uint32_t pkt_idx);
   void check_invariants() const;  // paranoid mode
+  // Occupied slots of one input port from its VCs' credits: what
+  // in_occupied_[port] must equal.
+  std::uint32_t credit_deficit(std::size_t port) const;
+  // Hand the collector an occupancy sample (per-buffer flit counts).
+  void sample_occupancy();
 
   SimResult collect(std::uint64_t cycles);
 
@@ -449,14 +472,18 @@ class Simulation {
   std::vector<PacketRecord> packets_;
   std::vector<std::uint32_t> packet_free_;
 
-  // Input buffers (link ports only), flattened rings.
+  // Input buffers (link ports only): flattened rings plus one BufState
+  // per (input port, VC), indexed by buffer_index().
   std::vector<Flit> buf_store_;
-  std::vector<std::uint16_t> buf_head_, buf_size_;
-  std::vector<VcState> vc_state_;
-  std::vector<std::uint16_t> credits_;  // free slots per input buffer
-  // Output VC ownership: packet currently holding (directed link, vc),
-  // 0 = free (packet pool index + 1 otherwise).
-  std::vector<std::uint32_t> out_owner_;
+  std::vector<BufState> bufs_;
+  // Occupied slots per input port (directed-link index of the port):
+  // the sum of (vc_buffer_flits - credits) over its VCs, kept in step with
+  // every credit taken and returned. Only ugal_select_fast reads it, so it
+  // is empty, and not kept, unless path_mode is kUgal without
+  // reference_impl (the reference loop and occupancy() read the credits).
+  std::vector<std::uint32_t> in_occupied_;
+  // Scratch for sample_occupancy(), filled only at the sample period.
+  std::vector<std::uint16_t> occupancy_sample_;
 
   // Injection: per endpoint (pooled linked FIFOs, see InjNode).
   std::vector<InjNode> inj_pool_;
@@ -484,13 +511,8 @@ class Simulation {
   routing::UgalSelector ugal_;  // reference selector (reference_impl mode)
 
   // Flat lookup tables resolved once at construction so the cycle loop
-  // never re-derives them (binary searches, divisions, pointer chases).
+  // never re-derives them (binary searches, pointer chases).
   std::vector<graph::Vertex> ep_router_;     // endpoint -> router
-  std::vector<std::uint32_t> recv_buf_base_; // directed link -> first
-                                             // downstream input-buffer index
-  std::vector<std::uint32_t> buf_link_;      // buffer -> directed link
-  std::vector<std::uint32_t> buf_vc_bit_;    // buffer -> 1 << vc
-  std::vector<graph::Vertex> buf_router_;    // buffer -> owning router
   // Occupancy index: bit per non-empty VC buffer of each directed link
   // (num_vcs <= 32 enforced at construction), plus a per-router count of
   // non-empty link-VC buffers and non-empty injection queues. A router
