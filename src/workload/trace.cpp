@@ -1,5 +1,7 @@
 #include "workload/trace.h"
 
+#include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -17,6 +19,30 @@ constexpr const char* kHeader = "# polarstar workload trace v1";
 [[noreturn]] void parse_error(std::size_t line, const std::string& what) {
   throw std::runtime_error("workload trace line " + std::to_string(line) +
                            ": " + what);
+}
+
+/// One unsigned decimal field. The whole token must parse: istream's >>
+/// would wrap "-4" to 2^64 - 4 and stop quietly at the 'x' of "4x".
+std::uint64_t parse_field(std::size_t line, const std::string& token,
+                          const std::string& name) {
+  if (token.starts_with('-')) parse_error(line, name + " is negative");
+  std::uint64_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [at, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || at != end) {
+    parse_error(line, name + " \"" + token + "\" is not an unsigned integer");
+  }
+  return value;
+}
+
+/// A flit count, in the [1, 65535] range sim::Simulation accepts.
+std::uint32_t parse_flits(std::size_t line, const std::string& token,
+                          const std::string& name) {
+  const std::uint64_t value = parse_field(line, token, name);
+  if (value == 0 || value > 0xFFFFu) {
+    parse_error(line, name + " " + token + " is outside [1, 65535]");
+  }
+  return static_cast<std::uint32_t>(value);
 }
 
 }  // namespace
@@ -56,26 +82,36 @@ Trace read_trace(std::istream& is) {
     next_line();
     std::istringstream ls(line);
     std::string word;
-    std::uint64_t value = 0;
+    std::string value;
     if (!(ls >> word >> value) || word != key) {
       parse_error(lineno, std::string("expected \"") + key + " <n>\"");
     }
-    if (word == "endpoints") trace.num_endpoints = value;
-    if (word == "packet_flits") {
-      trace.packet_flits = static_cast<std::uint32_t>(value);
+    if (word == "endpoints") {
+      trace.num_endpoints = parse_field(lineno, value, key);
     }
-    if (word == "events") expected_events = value;
+    if (word == "packet_flits") {
+      trace.packet_flits = parse_flits(lineno, value, key);
+    }
+    if (word == "events") expected_events = parse_field(lineno, value, key);
   }
 
-  trace.events.reserve(expected_events);
+  // The count is untrusted: reserve at most a bounded prefix, so a huge
+  // header fails at its missing lines rather than in the allocator.
+  constexpr std::uint64_t kMaxReserve = 1u << 16;
+  trace.events.reserve(std::min(expected_events, kMaxReserve));
   std::uint64_t last_cycle = 0;
   for (std::uint64_t i = 0; i < expected_events; ++i) {
     next_line();
     std::istringstream ls(line);
-    TraceEvent e;
-    if (!(ls >> e.cycle >> e.src >> e.dst >> e.flits)) {
+    std::string cycle, src, dst, flits;
+    if (!(ls >> cycle >> src >> dst >> flits)) {
       parse_error(lineno, "expected \"<cycle> <src> <dst> <flits>\"");
     }
+    TraceEvent e;
+    e.cycle = parse_field(lineno, cycle, "cycle");
+    e.src = parse_field(lineno, src, "src");
+    e.dst = parse_field(lineno, dst, "dst");
+    e.flits = parse_flits(lineno, flits, "flits");
     if (e.cycle < last_cycle) parse_error(lineno, "cycles not monotone");
     if (e.src >= trace.num_endpoints || e.dst >= trace.num_endpoints) {
       parse_error(lineno, "endpoint out of range");

@@ -56,7 +56,9 @@ void write_trace(std::ostream& os, const Trace& trace);
 void write_trace_file(const std::string& path, const Trace& trace);
 
 /// Parses the v1 text format; throws std::runtime_error with a line
-/// diagnostic on malformed input.
+/// diagnostic on malformed input: a field that is not a whole unsigned
+/// decimal, packet_flits or flits outside [1, 65535], a missing line, an
+/// out-of-range endpoint or a cycle that goes back.
 Trace read_trace(std::istream& is);
 Trace read_trace_file(const std::string& path);
 

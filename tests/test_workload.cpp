@@ -162,6 +162,31 @@ TEST(WorkloadTrace, ReaderRejectsMalformedInput) {
   EXPECT_THROW(parse("# polarstar workload trace v1\nendpoints 4\n"
                      "packet_flits 4\nevents 2\n5 0 1 4\n3 1 0 4\n"),
                std::runtime_error);
+  // Each hostile header or event fails with the line it is on: no silent
+  // truncation to 32 bits, no zero-flit packets, no "-4" wrapped to 2^64 - 4
+  // and no allocation sized by an untrusted event count.
+  const auto expect_line_error = [&](const std::string& body,
+                                     const std::string& where) {
+    try {
+      parse(body);
+      ADD_FAILURE() << "accepted: " << body;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_line_error("# polarstar workload trace v1\nendpoints 4\n"
+                    "packet_flits 4294967297\nevents 0\n",
+                    "line 3: packet_flits");
+  expect_line_error("# polarstar workload trace v1\nendpoints 4\n"
+                    "packet_flits 0\nevents 0\n",
+                    "line 3: packet_flits");
+  expect_line_error("# polarstar workload trace v1\nendpoints 4\n"
+                    "packet_flits 4\nevents 1\n0 1 2 -4\n",
+                    "line 5: flits");
+  expect_line_error("# polarstar workload trace v1\nendpoints 4\n"
+                    "packet_flits 4\nevents 18446744073709551615\n0 1 2 4\n",
+                    "line 6: unexpected EOF");
 }
 
 TEST(WorkloadTrace, ReplayValidatesContext) {

@@ -12,6 +12,7 @@
 // time-series counter tracks ("C" events) a per-counter min/mean/max
 // table. Exits non-zero on malformed input.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -67,14 +68,27 @@ const json::Value& require(const json::Value& obj, const std::string& key) {
   return *v;
 }
 
+/// obj[key] as an unsigned integer. JSON numbers are doubles, and casting
+/// one that is non-finite, negative or too large is undefined behaviour, so
+/// only whole numbers in [0, 2^53] (exact in a double) get through.
+std::uint64_t require_uint(const json::Value& obj, const std::string& key) {
+  const double v = require(obj, key).as_number();
+  if (!(v >= 0.0 && v <= 9007199254740992.0) || v != std::floor(v)) {
+    char shown[32];
+    std::snprintf(shown, sizeof shown, "%g", v);
+    throw std::runtime_error("\"" + key + "\" is " + shown +
+                             ", not an integer in [0, 2^53]");
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
 void summarize(const std::string& path) {
   const json::Value doc = json::parse_file(path);
   const auto& events = require(doc, "traceEvents").as_array();
 
   std::map<std::uint64_t, GroupStats> groups;  // keyed by pid
   for (const auto& ev : events) {
-    const std::uint64_t pid =
-        static_cast<std::uint64_t>(require(ev, "pid").as_number());
+    const std::uint64_t pid = require_uint(ev, "pid");
     GroupStats& g = groups[pid];
     const std::string& ph = require(ev, "ph").as_string();
     if (ph == "M") {
@@ -90,8 +104,7 @@ void summarize(const std::string& path) {
       }
     } else if (ph == "X") {
       const auto& args = require(ev, "args");
-      const auto hop =
-          static_cast<std::uint64_t>(require(args, "hop").as_number());
+      const std::uint64_t hop = require_uint(args, "hop");
       const double dur = require(ev, "dur").as_number();
       HopStats& h = g.hops[hop];
       ++h.count;
@@ -105,15 +118,10 @@ void summarize(const std::string& path) {
       if (cat_name == "fault") {
         if (name.rfind("fault: ", 0) == 0) name.erase(0, 7);
         const auto& args = require(ev, "args");
-        g.faults.push_back(
-            {static_cast<std::uint64_t>(require(ev, "ts").as_number()),
-             std::move(name),
-             static_cast<std::uint64_t>(require(args, "a").as_number()),
-             static_cast<std::uint64_t>(require(args, "b").as_number())});
+        g.faults.push_back({require_uint(ev, "ts"), std::move(name),
+                            require_uint(args, "a"), require_uint(args, "b")});
       } else if (cat_name == "mark") {
-        g.marks.push_back(
-            {static_cast<std::uint64_t>(require(ev, "ts").as_number()),
-             std::move(name)});
+        g.marks.push_back({require_uint(ev, "ts"), std::move(name)});
       } else {
         throw std::runtime_error("unexpected instant event \"" + name + "\"");
       }
